@@ -17,15 +17,16 @@ budget enters the timing chain.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..physics.noise import NoiseBudget, NoiseGenerator, NOISELESS
-from ..simulation.signals import Trace
+from ..simulation.signals import SCRATCH_CAPACITY, ScratchPool, Trace
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,35 @@ class ComparatorParameters:
         return self.threshold + self.offset - self.hysteresis / 2.0
 
 
+@functools.lru_cache(maxsize=4)
+def event_codes(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-column event codes for the parity-accumulate state machine.
+
+    Odd codes mark a "forced high" sample, even codes "forced low"; later
+    columns always carry larger codes, so a running maximum yields the
+    most recent forcing event and its parity is the Schmitt-trigger
+    state — one accumulate replaces the scalar searchsorted forward-fill.
+    int32 comfortably holds 2n+3 and halves the matrix memory traffic.
+    The tables depend on the grid length only, so every comparator shares
+    them (read-only).
+    """
+    set_codes = (2 * np.arange(n, dtype=np.int64) + 3).astype(np.int32)
+    reset_codes = set_codes - np.int32(1)
+    set_codes.flags.writeable = False
+    reset_codes.flags.writeable = False
+    return set_codes, reset_codes
+
+
+def _edge_buffers(shape: Tuple[int, int]) -> Tuple[np.ndarray, ...]:
+    return (
+        np.empty(shape, dtype=bool),
+        np.empty(shape, dtype=bool),
+        np.empty(shape, dtype=np.int32),
+        np.empty(shape, dtype=np.int8),
+        np.empty((shape[0], shape[1] - 1), dtype=bool),
+    )
+
+
 class Comparator:
     """Threshold comparator with hysteresis, offset and delay.
 
@@ -78,45 +108,15 @@ class Comparator:
     had not yet tripped.
     """
 
-    #: At most this many scratch-buffer shapes are retained; a chunked
-    #: batch sweep alternates between the full chunk shape and one
-    #: remainder shape, so two entries make every steady-state call a hit
-    #: while a long-lived service fed arbitrary chunk sizes stays bounded.
-    SCRATCH_CAPACITY = 2
+    #: LRU bound on the per-shape batch scratch (see :class:`ScratchPool`).
+    SCRATCH_CAPACITY = SCRATCH_CAPACITY
+    #: ``(forced_high, forced_low, encoded, parity, fall)`` per shape for
+    #: :meth:`falling_edges_batch`, shared by every comparator; none of
+    #: them escape it.
+    _batch_scratch = ScratchPool(_edge_buffers)
 
     def __init__(self, params: ComparatorParameters):
         self.params = params
-        self._code_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        self._batch_scratch: Dict[
-            Tuple[int, int],
-            Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        ] = {}
-
-    def _batch_buffers(
-        self, shape: Tuple[int, int]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Persistent per-shape scratch for :meth:`falling_edges_batch`.
-
-        ``(forced_high, forced_low, encoded, parity, fall)`` —
-        reallocating these multi-megabyte temporaries per chunk costs
-        kernel page faults; none of them escape the method, so reuse is
-        safe.  The cache is LRU-bounded at :attr:`SCRATCH_CAPACITY`
-        shapes so varying chunk sizes cannot grow memory without bound.
-        """
-        buffers = self._batch_scratch.pop(shape, None)
-        if buffers is None:
-            while len(self._batch_scratch) >= self.SCRATCH_CAPACITY:
-                self._batch_scratch.pop(next(iter(self._batch_scratch)))
-            buffers = (
-                np.empty(shape, dtype=bool),
-                np.empty(shape, dtype=bool),
-                np.empty(shape, dtype=np.int32),
-                np.empty(shape, dtype=np.int8),
-                np.empty((shape[0], shape[1] - 1), dtype=bool),
-            )
-        # (Re-)insert so dict order tracks recency: oldest first.
-        self._batch_scratch[shape] = buffers
-        return buffers
 
     def _states(self, v: np.ndarray) -> np.ndarray:
         """Vectorised Schmitt-trigger state per sample (0/1)."""
@@ -171,22 +171,6 @@ class Comparator:
 
     # -- batched path (repro.batch) -------------------------------------------
 
-    def _codes(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-column event codes for the parity-accumulate state machine."""
-        cached = self._code_cache.get(n)
-        if cached is None:
-            # Odd codes mark a "forced high" sample, even codes "forced
-            # low"; later columns always carry larger codes, so a running
-            # maximum yields the most recent forcing event and its parity
-            # is the Schmitt-trigger state — one accumulate replaces the
-            # scalar searchsorted forward-fill.  int32 comfortably holds
-            # 2n+3 and halves the matrix memory traffic.
-            set_codes = (2 * np.arange(n, dtype=np.int64) + 3).astype(np.int32)
-            reset_codes = set_codes - np.int32(1)
-            cached = (set_codes, reset_codes)
-            self._code_cache[n] = cached
-        return cached
-
     def falling_edges_batch(
         self, values: np.ndarray, times: np.ndarray, negate: bool = False
     ) -> List[np.ndarray]:
@@ -205,8 +189,10 @@ class Comparator:
                 "falling_edges_batch needs an (N, n_samples) matrix on the "
                 "shared time axis"
             )
-        set_codes, reset_codes = self._codes(times.size)
-        forced_high, forced_low, encoded, parity, fall = self._batch_buffers(V.shape)
+        set_codes, reset_codes = event_codes(times.size)
+        forced_high, forced_low, encoded, parity, fall = self._batch_scratch.get(
+            V.shape
+        )
         if negate:
             np.less(V, -p.trip_level, out=forced_high)
             np.greater(V, -p.release_level, out=forced_low)
@@ -240,6 +226,25 @@ class Comparator:
         edge_times = t0 + frac * (t1 - t0) + p.delay
         splits = np.searchsorted(rows, np.arange(1, V.shape[0]))
         return np.split(edge_times, splits)
+
+
+@functools.lru_cache(maxsize=8)
+def _single_pole(
+    bandwidth_hz: float, sample_rate: float
+) -> Tuple[Tuple[float], Tuple[float, float], np.ndarray]:
+    """``(b, a, zi)`` of the amplifier's one-pole filter, with ``zi`` the
+    steady-state initial condition for a unit step (``lfilter_zi``).
+
+    It depends on the two rates only, so it is solved once per design
+    instead of once per waveform.
+    """
+    from scipy.signal import lfilter_zi
+
+    alpha = math.exp(-2.0 * math.pi * bandwidth_hz / sample_rate)
+    b, a = (1.0 - alpha,), (1.0, -alpha)
+    zi = lfilter_zi(b, a)
+    zi.flags.writeable = False
+    return b, a, zi
 
 
 class PickupAmplifier:
@@ -323,24 +328,26 @@ class PickupAmplifier:
         """Single-pole band limit; accepts 1-D or (N, n_samples) input."""
         if self.bandwidth_hz is None or self.bandwidth_hz >= sample_rate / 2.0:
             return values
-        from scipy.signal import lfilter, lfilter_zi
+        from scipy.signal import lfilter
 
-        alpha = math.exp(-2.0 * math.pi * self.bandwidth_hz / sample_rate)
-        b, a = [1.0 - alpha], [1.0, -alpha]
+        b, a, zi_step = _single_pole(self.bandwidth_hz, sample_rate)
         if values.ndim == 1:
-            zi = lfilter_zi(b, a) * values[0]
-            out, _ = lfilter(b, a, values, zi=zi)
+            out, _ = lfilter(b, a, values, zi=zi_step * values[0])
         else:
-            zi = lfilter_zi(b, a) * values[:, :1]
-            out, _ = lfilter(b, a, values, axis=-1, zi=zi)
+            out, _ = lfilter(b, a, values, axis=-1, zi=zi_step * values[:, :1])
         return out
 
-    def amplify(self, signal: Trace) -> Trace:
-        """Band-limit, amplify and add input-referred noise."""
+    def amplify(self, signal: Trace, draw_index: Optional[int] = None) -> Trace:
+        """Band-limit, amplify and add input-referred noise.
+
+        A noisy budget takes the next draw of the stream, or re-uses the
+        given ``draw_index`` without advancing the stream (how a batch-run
+        measurement rebuilds its waveforms).
+        """
         if self.budget.is_noiseless:
             filtered = self._lowpass(signal.v, signal.sample_rate)
             return Trace(signal.t, filtered * self.gain)
-        draw = self.consume_noise_draws(1)
+        draw = self.consume_noise_draws(1) if draw_index is None else draw_index
         noise = self.noise_realization(len(signal), signal.sample_rate, draw)
         filtered = self._lowpass(signal.v + noise, signal.sample_rate)
         return Trace(signal.t, filtered * self.gain)

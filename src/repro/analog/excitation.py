@@ -9,14 +9,16 @@ the excitation current.
 
 from __future__ import annotations
 
+import functools
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from typing import Hashable, Optional, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..simulation.engine import TimeGrid
-from ..simulation.signals import Trace
+from ..simulation.signals import TimeGradient, Trace
 from ..units import EXCITATION_CURRENT_PP
 from .vi_converter import VIConverter, VIConverterParameters
 from .waveform import OscillatorParameters, TriangularWaveformGenerator
@@ -152,3 +154,134 @@ class ExcitationSource:
     def measured_offset(self, grid: TimeGrid, channel: str, load_resistance: float) -> float:
         """Average of the excitation current — the §3.1 correction signal [A]."""
         return self.current(grid, channel, load_resistance).mean()
+
+
+# -- the shared excitation memo -------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ExcitationEntry:
+    """One memoised excitation trace plus the ``d/dt`` operator of its axis.
+
+    Both are shared by every front end that keys to them, so their arrays
+    are read-only.
+    """
+
+    current: Trace
+    gradient: TimeGradient
+
+
+def _grid_key(grid: TimeGrid) -> Tuple:
+    return (grid.n_periods, grid.samples_per_period, grid.frequency_hz, grid.t_start)
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
+@functools.lru_cache(maxsize=4)
+def _time_gradient(grid_key: Tuple) -> TimeGradient:
+    return TimeGradient(_read_only(TimeGrid(*grid_key).times()))
+
+
+def time_gradient(grid: TimeGrid) -> TimeGradient:
+    """The ``d/dt`` operator of ``grid``'s time axis, shared process-wide.
+
+    It depends on the grid alone, so every memo and front end shares one
+    per grid (LRU-bounded: a temperature sweep retunes the grid per step).
+    """
+    return _time_gradient(_grid_key(grid))
+
+
+class ExcitationMemo:
+    """LRU memo of excitation traces, keyed by value.
+
+    The paper multiplexes one oscillator over both sensors (§2), so the
+    excitation a sensor sees depends only on the source's parameters, the
+    grid, the channel and the sensor's series resistance — never on the
+    measurand.  Keying on those *values* (not on a source instance) lets
+    every identically configured front end that shares a memo share one
+    trace; the bound keeps a temperature sweep, which builds a new
+    oscillator per step, from growing memory.
+
+    A source the memo cannot vouch for — a subclassed block, an
+    instance-patched ``current``/``generate``/``drive`` (how the fault
+    injectors arm), or a powered-down source or converter — bypasses the
+    memo and gets a freshly computed, unshared entry.
+    """
+
+    #: Entries kept (LRU): both channels of a few configurations.
+    capacity = 8
+
+    def __init__(self) -> None:
+        self._entries: "OrderedDict[Hashable, ExcitationEntry]" = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+
+    @staticmethod
+    def memoizable(source: ExcitationSource, channel: str) -> bool:
+        """Whether ``source``'s output on ``channel`` is a pure function
+        of the memo key."""
+        converter = source.converters.get(channel)
+        return (
+            type(source) is ExcitationSource
+            and type(source.oscillator) is TriangularWaveformGenerator
+            and type(converter) is VIConverter
+            and "current" not in vars(source)
+            and "generate" not in vars(source.oscillator)
+            and "drive" not in vars(converter)
+            and source.enabled
+            and converter.enabled
+        )
+
+    def entry(
+        self,
+        source: ExcitationSource,
+        grid: TimeGrid,
+        channel: str,
+        load_resistance: float,
+    ) -> ExcitationEntry:
+        """The excitation trace and gradient for one channel measurement.
+
+        Raises what :meth:`ExcitationSource.current` raises (a compliance
+        failure is never memoised).
+        """
+        if not self.memoizable(source, channel):
+            current = source.current(grid, channel, load_resistance)
+            return ExcitationEntry(current, TimeGradient(current.t))
+        key = (
+            source.oscillator.params,
+            source.converters[channel].params,
+            source.settings.soft_start_periods,
+            _grid_key(grid),
+            channel,
+            load_resistance,
+        )
+        entry = self._entries.get(key)
+        if entry is not None:
+            self.hits += 1
+            self._entries.move_to_end(key)
+            return entry
+        self.misses += 1
+        current = source.current(grid, channel, load_resistance)
+        gradient = time_gradient(grid)
+        if np.array_equal(current.t, gradient.t):
+            # Share the time axis with the gradient: one copy per grid.
+            current = Trace(gradient.t, current.v)
+        else:
+            gradient = TimeGradient(current.t)
+        _read_only(current.v)
+        entry = ExcitationEntry(current, gradient)
+        self._entries[key] = entry
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+        return entry
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+#: The memo scalar measurements share across every front end in the
+#: process (a batch engine keeps its own, see ``repro.batch``).
+EXCITATION_MEMO = ExcitationMemo()

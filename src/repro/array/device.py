@@ -97,9 +97,12 @@ class ArrayConfig:
     gradient_threshold:
         Near-field detection threshold: maximum per-element residual
         against the fused field, as a fraction of the fused magnitude.
-        The default sits above counter-quantisation scatter (~1e-3)
-        and below the differential signature a blind-window ambush
-        (≥0.4 µT at ~1 m) leaves across a 0.3 m aperture.
+        The default sits above the counter quantum (one count is
+        0.0005–0.0013 of the magnitude across 65–25 µT) and below the
+        signature of every source seen to pull a fused heading past
+        the 1° spec (residuals ≥0.0039; see ``docs/array.md``).  It
+        assumes noiseless elements: noisy ones scatter further and
+        need a threshold raised to their own scatter.
     strict:
         When True a gradiometer trip raises instead of flagging.
     chunk_size:
@@ -115,7 +118,7 @@ class ArrayConfig:
     min_elements: int = 1
     vote_outlier_deg: float = 5.0
     vote_mad_scale: float = 3.0
-    gradient_threshold: float = 0.005
+    gradient_threshold: float = 0.0025
     strict: bool = False
     chunk_size: int = 12
     observe: Observability = Observability()
@@ -457,12 +460,19 @@ class ArrayCompass:
             fused_magnitude = measurement.field_estimate_a_per_m
             residuals = {index: 0.0}
         else:
-            fused_x = sum(
-                norm_weights[i] * vectors[i][0] for i in used
-            )
-            fused_y = sum(
-                norm_weights[i] * vectors[i][1] for i in used
-            )
+            if len(set(vectors.values())) == 1:
+                # Agreeing elements: the weighted mean is their common
+                # vector exactly.  Summing thirds of it can miss by an
+                # ulp, which would leave a spurious ~1e-16 residual in a
+                # uniform field.
+                fused_x, fused_y = vectors[used[0]]
+            else:
+                fused_x = sum(
+                    norm_weights[i] * vectors[i][0] for i in used
+                )
+                fused_y = sum(
+                    norm_weights[i] * vectors[i][1] for i in used
+                )
             fused_magnitude = math.hypot(fused_x, fused_y)
             if fused_magnitude <= 0.0:
                 self._count_fusion("refused")

@@ -1,25 +1,24 @@
 """The batch-measurement engine behind :class:`BatchCompass`.
 
-A scalar ``IntegratedCompass.measure_heading`` pays the full dense
-analogue grid (settle + count periods × 4096 samples, twice — once per
-channel) per call, plus Python-level overhead per block.  Sweeps repeat
-almost all of that work: the excitation current is identical across
-headings, and every per-sample transform (magnetisation, gradient,
-band-limit, comparator) is an elementwise or row-wise operation that
-vectorizes over a ``(N, n_samples)`` matrix.
+Sweeps repeat almost all of a measurement's work: the excitation current
+is identical across headings, and every per-sample transform
+(magnetisation, gradient, band-limit, comparator) is an elementwise or
+row-wise operation that vectorizes over a ``(N, n_samples)`` matrix.
 
-The engine exploits exactly that:
+The engine feeds rows to the front end's channel kernel,
+:meth:`~repro.analog.frontend.AnalogFrontEnd.detect_rows` — the same
+kernel a scalar measurement runs as a batch of one:
 
-* the excitation trace is computed once per ``(grid, channel,
-  series_resistance)`` key and cached (with its precomputed
-  finite-difference gradient coefficients),
+* the excitation trace comes from the device's memo
+  (:class:`ExcitationTraceCache`) and its finite-difference gradient from
+  the process-wide per-grid table,
 * headings are processed in small row *chunks* so every intermediate
   matrix stays cache-resident (a full 72 × 36864 float64 matrix is
   ~21 MB per temporary — memory-bound and slower than the scalar loop),
 * comparator edge extraction runs as one ``maximum.accumulate`` state
   machine per chunk instead of a per-waveform searchsorted pass.
 
-Every arithmetic step reproduces the scalar path bit-for-bit, so the
+Every arithmetic step reproduces the sample path bit-for-bit, so the
 resulting counts and headings are not merely close — they are identical
 (asserted by ``tests/test_batch_sweep.py`` and the BENCH_sweep record).
 """
@@ -28,12 +27,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..analog import fastpath
-from ..analog.excitation import ExcitationSource
+from ..analog.excitation import ExcitationEntry, ExcitationMemo, ExcitationSource
 from ..analog.frontend import AnalogFrontEnd
 from ..analog.pulse_detector import DetectorOutput
 from ..core.accuracy import ErrorStats
@@ -49,47 +48,23 @@ from ..observe import (
 from ..observe.trace import STAGE_MEASURE
 from ..sensors.fluxgate import FluxgateSensor
 from ..simulation.engine import TimeGrid
-from ..simulation.signals import TimeGradient, Trace
 from .scene import BatchScene
 
 
-@dataclass
-class _CacheEntry:
-    """One cached excitation trace plus its derived gradient operator."""
+class ExcitationTraceCache(ExcitationMemo):
+    """One device's (or one array's) excitation memo, with lookup metrics.
 
-    current: Trace
-    gradient: TimeGradient
-
-
-class ExcitationTraceCache:
-    """Cache of excitation-current traces per ``(grid, channel, load)`` key.
-
-    The excitation waveform depends only on the grid geometry, the selected
-    channel and the sensor's series resistance — not on the measurand — so
-    within a sweep it is recomputed identically for every heading.  The
-    cache belongs to one :class:`BatchCompass` (whose front-end settings are
-    fixed), which keeps the keying honest: a differently-configured source
-    gets its own cache.
+    A batch engine keeps its traces in its own memo rather than the
+    process-wide one scalar measurements use, so devices handed the same
+    cache — the elements of an array — share their traces and count
+    their own hits, independently of what else the process measured.
     """
 
     def __init__(self) -> None:
-        self._entries: Dict[Tuple, _CacheEntry] = {}
+        super().__init__()
         #: Optional metrics registry (set by the owning BatchCompass);
         #: hit/miss counts are always kept — they are two int adds.
         self.metrics: Optional[MetricsRegistry] = None
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def key(grid: TimeGrid, channel: str, load_resistance: float) -> Tuple:
-        return (
-            grid.n_periods,
-            grid.samples_per_period,
-            grid.frequency_hz,
-            grid.t_start,
-            channel,
-            load_resistance,
-        )
 
     def entry(
         self,
@@ -97,29 +72,16 @@ class ExcitationTraceCache:
         grid: TimeGrid,
         channel: str,
         load_resistance: float,
-    ) -> _CacheEntry:
-        """The cached excitation trace/gradient, computing it on a miss."""
-        key = self.key(grid, channel, load_resistance)
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            event = "miss"
-            current = source.current(grid, channel, load_resistance)
-            entry = _CacheEntry(current=current, gradient=TimeGradient(current.t))
-            self._entries[key] = entry
-        else:
-            self.hits += 1
-            event = "hit"
+    ) -> ExcitationEntry:
+        hits = self.hits
+        entry = super().entry(source, grid, channel, load_resistance)
         if self.metrics is not None:
             self.metrics.counter(
                 M_CACHE_EVENTS,
                 "excitation-trace cache lookups, by outcome",
                 ("event",),
-            ).inc(event=event)
+            ).inc(event="hit" if self.hits > hits else "miss")
         return entry
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 @dataclass
@@ -210,7 +172,11 @@ class BatchCompass:
         if h_x.size == 0:
             return []
         compass = self.compass
-        if compass.sensors.sensor_x.core.is_hysteretic:
+        front_end = compass.front_end
+        if not (
+            front_end.runs_kernel(compass.sensors.sensor_x)
+            and front_end.runs_kernel(compass.sensors.sensor_y)
+        ):
             return [
                 compass.measure_components(float(x), float(y))
                 for x, y in zip(h_x, h_y)
@@ -223,7 +189,6 @@ class BatchCompass:
         count_window = (t0 + settle_time, t1)
         compass.supervisor.watchdog_guard(grid.n_periods)
 
-        front_end = compass.front_end
         amplifier = front_end.amplifier
         noisy = not amplifier.budget.is_noiseless
         # The scalar loop draws noise x0, y0, x1, y1, …; reserve the same
@@ -274,7 +239,7 @@ class BatchCompass:
         draw_base: int,
         draw_offset: int,
     ) -> List[DetectorOutput]:
-        """One channel's chunked sensor → amplifier → detector pipeline."""
+        """One channel's rows through the front end's kernel, chunk by chunk."""
         front_end: AnalogFrontEnd = self.compass.front_end
         front_end.excitation.select_channel(channel)
         front_end.multiplexer.select(channel)
@@ -285,11 +250,7 @@ class BatchCompass:
         entry = self.cache.entry(
             front_end.excitation, grid, channel, sensor.params.series_resistance
         )
-        current, gradient = entry.current, entry.gradient
-        sample_rate = current.sample_rate
-        amplifier = front_end.amplifier
-        detector = front_end.detector
-        noisy = not amplifier.budget.is_noiseless
+        noisy = not front_end.amplifier.budget.is_noiseless
 
         observer = self.compass.observer
         metrics = observer.metrics
@@ -301,17 +262,17 @@ class BatchCompass:
                     "batch.chunk", channel=channel, start=start,
                     rows=int(h_chunk.size),
                 ):
-                    pickup = sensor.simulate_batch(current, h_chunk, gradient)
                     draw_indices: Optional[List[int]] = None
                     if noisy:
                         draw_indices = [
                             draw_base + 2 * (start + row) + draw_offset
                             for row in range(h_chunk.size)
                         ]
-                    amplified = amplifier.amplify_batch(
-                        pickup, sample_rate, draw_indices
+                    outputs.extend(
+                        front_end.detect_rows(
+                            sensor, channel, entry, h_chunk, draw_indices
+                        )
                     )
-                    outputs.extend(detector.detect_batch(amplified, current.t))
                 if metrics is not None:
                     metrics.counter(
                         M_BATCH_CHUNKS,

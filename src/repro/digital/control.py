@@ -18,8 +18,9 @@ feed the power model (:mod:`repro.core.power`) and the GATE1 bench.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Deque, Dict, List, Tuple
 
 from ..analog.mux import MeasurementSchedule
 from ..errors import ProtocolError
@@ -79,6 +80,11 @@ class CompassController:
         Cycles the COMPUTE state occupies at the counter clock.
     """
 
+    #: Dwells kept on :attr:`history`: a measurement records one dwell
+    #: per state, so this keeps the last 200 five-state measurements of
+    #: a compass that measures forever.
+    HISTORY_LIMIT = 1000
+
     def __init__(
         self,
         schedule: MeasurementSchedule = MeasurementSchedule(),
@@ -91,7 +97,7 @@ class CompassController:
         self.cordic_iterations = cordic_iterations
         self.clock_hz = clock_hz
         self.state = ControllerState.IDLE
-        self.history: List[StateDwell] = []
+        self.history: Deque[StateDwell] = deque(maxlen=self.HISTORY_LIMIT)
 
     # -- timing ---------------------------------------------------------------
 
@@ -134,7 +140,7 @@ class CompassController:
     def run_measurement(self) -> List[StateDwell]:
         """Walk one full measurement and record the dwell history.
 
-        Returns the dwells of this measurement; the cumulative history is
+        Returns the dwells of this measurement; the most recent dwells are
         kept on :attr:`history` for duty-cycle analysis across a session.
         """
         if self.state is not ControllerState.IDLE:

@@ -32,13 +32,13 @@ so the up-down counter integrates to a count proportional to ``H_ext``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..physics.magnetics import MagnetisationModel, make_core
-from ..simulation.signals import TimeGradient, Trace
+from ..simulation.signals import SCRATCH_CAPACITY, ScratchPool, TimeGradient, Trace
 from .parameters import FluxgateParameters
 
 
@@ -81,18 +81,16 @@ class FluxgateSensor:
         ``"jiles-atherton"`` (hysteretic, for ablations).
     """
 
-    #: LRU bound on the per-shape batch scratch: the chunked sweep
-    #: alternates between the chunk shape and one remainder shape, so two
-    #: entries cover steady state while arbitrary chunk sizes stay bounded.
-    SCRATCH_CAPACITY = 2
+    #: LRU bound on the per-shape batch scratch (see :class:`ScratchPool`).
+    SCRATCH_CAPACITY = SCRATCH_CAPACITY
+    #: ``(h_total, deriv)`` per shape for :meth:`simulate_batch`, shared
+    #: by every sensor.
+    _batch_scratch = ScratchPool(lambda shape: (np.empty(shape), np.empty(shape)))
 
     def __init__(self, params: FluxgateParameters, core_model: str = "tanh"):
         self.params = params
         self.core: MagnetisationModel = make_core(core_model, params.core)
         self.core_model_name = core_model
-        self._batch_scratch: Dict[
-            Tuple[int, int], Tuple[np.ndarray, np.ndarray]
-        ] = {}
 
     # -- elementary transforms -------------------------------------------------
 
@@ -158,9 +156,10 @@ class FluxgateSensor:
         core integrates sample-by-sample and rows would contaminate each
         other.
 
-        The returned matrix lives in a sensor-owned scratch buffer that
-        the *next* ``simulate_batch`` call with the same shape overwrites
-        — consume (or copy) it before batching again.
+        A multi-row result lives in a shared scratch buffer that the
+        *next* ``simulate_batch`` call with the same shape, on any sensor,
+        overwrites — consume (or copy) it before batching again.  A
+        one-row result is freshly allocated.
 
         Parameters
         ----------
@@ -181,15 +180,7 @@ class FluxgateSensor:
         h = np.asarray(h_external, dtype=float)
         if h.ndim != 1:
             raise ConfigurationError("h_external must be a 1-D array of fields")
-        shape = (h.size, current.t.size)
-        scratch = self._batch_scratch.pop(shape, None)
-        if scratch is None:
-            while len(self._batch_scratch) >= self.SCRATCH_CAPACITY:
-                self._batch_scratch.pop(next(iter(self._batch_scratch)))
-            scratch = (np.empty(shape), np.empty(shape))
-        # (Re-)insert so dict order tracks recency: oldest first.
-        self._batch_scratch[shape] = scratch
-        h_total, deriv = scratch
+        h_total, deriv = self._batch_scratch.get((h.size, current.t.size))
         np.add(current.v * p.excitation_coil_constant, h[:, None], out=h_total)
         b = self.core.flux_density_into(h_total, out=h_total)
         if gradient is None:

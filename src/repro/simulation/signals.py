@@ -17,7 +17,7 @@ quantiser is the 4.194304 MHz counter clock, modelled separately in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -203,6 +203,55 @@ class Trace:
         return float(2.0 * np.hypot(cos_corr, sin_corr) / span)
 
 
+#: Scratch shapes a batch kernel keeps (LRU): a chunked sweep alternates
+#: between the chunk shape and one remainder shape, so two entries make
+#: every steady-state call a hit while arbitrary chunk sizes stay bounded.
+SCRATCH_CAPACITY = 2
+
+Shape = Tuple[int, int]
+
+
+class ScratchPool:
+    """Per-shape scratch buffers for a batch kernel, LRU-bounded.
+
+    Fresh multi-megabyte temporaries cost kernel page faults on every
+    chunk, so multi-row buffers are kept, at most
+    :data:`SCRATCH_CAPACITY` shapes.  A one-row request — a scalar
+    measurement run as a batch of one — gets fresh buffers and leaves
+    nothing behind.  ``make(shape)`` builds the buffer (or tuple of
+    buffers) for a ``(rows, samples)`` shape.
+
+    Kernels hold their pool at class level, so it is shared by every
+    instance: the scratch belongs to the computation, not to a device,
+    and a retired device (waiting in a reference cycle for the garbage
+    collector) pins none of it.  A pooled buffer is therefore only valid
+    until the next call of the same kernel with the same shape, on any
+    instance.
+    """
+
+    def __init__(self, make: Callable[[Shape], Any]):
+        self._make = make
+        self._buffers: Dict[Shape, Any] = {}
+
+    def get(self, shape: Shape) -> Any:
+        if shape[0] == 1:
+            return self._make(shape)
+        buffers = self._buffers.pop(shape, None)
+        if buffers is None:
+            while len(self._buffers) >= SCRATCH_CAPACITY:
+                self._buffers.pop(next(iter(self._buffers)))
+            buffers = self._make(shape)
+        # (Re-)insert so dict order tracks recency: oldest first.
+        self._buffers[shape] = buffers
+        return buffers
+
+    def __iter__(self) -> Iterator[Shape]:
+        return iter(self._buffers)
+
+    def __len__(self) -> int:
+        return len(self._buffers)
+
+
 class TimeGradient:
     """Reusable ``d/dt`` operator for waveform batches on one time axis.
 
@@ -213,6 +262,9 @@ class TimeGradient:
     reproducing ``np.gradient``'s arithmetic (including its uniform-spacing
     fast path and ``edge_order=1`` endpoints) bit-for-bit.
     """
+
+    #: Interior-stencil products of the non-uniform branch.
+    _tmp = ScratchPool(lambda shape: np.empty((shape[0], shape[1] - 2)))
 
     def __init__(self, t: np.ndarray):
         t = np.asarray(t, dtype=float)
@@ -229,19 +281,6 @@ class TimeGradient:
             self._a = -dx2 / (dx1 * (dx1 + dx2))
             self._b = (dx2 - dx1) / (dx1 * dx2)
             self._c = dx1 / (dx2 * (dx1 + dx2))
-        self._tmp: Dict[Tuple[int, int], np.ndarray] = {}
-
-    def _interior_tmp(self, shape: Tuple[int, int]) -> np.ndarray:
-        """Persistent scratch for the interior-stencil products.
-
-        Fresh multi-megabyte temporaries cost kernel page faults on every
-        call; the scratch never escapes this class, so reuse is safe.
-        """
-        tmp = self._tmp.get(shape)
-        if tmp is None:
-            tmp = np.empty((shape[0], shape[1] - 2))
-            self._tmp[shape] = tmp
-        return tmp
 
     def apply(
         self, values: np.ndarray, out: Optional[np.ndarray] = None
@@ -269,7 +308,7 @@ class TimeGradient:
             out[:, 0] = (V[:, 1] - V[:, 0]) / dx[0]
             out[:, -1] = (V[:, -1] - V[:, -2]) / dx[-1]
         else:
-            tmp = self._interior_tmp(V.shape)
+            tmp = self._tmp.get(V.shape)
             np.multiply(self._a, V[:, :-2], out=out[:, 1:-1])
             np.multiply(self._b, V[:, 1:-1], out=tmp)
             out[:, 1:-1] += tmp

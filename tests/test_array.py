@@ -200,6 +200,14 @@ class TestGradiometer:
         assert fused.residual_max_fraction == 0.0
         assert fused.flags == ()
 
+    def test_uniform_field_has_zero_residual_with_three_elements(self):
+        """Weights of 1/3 are inexact in binary; agreeing elements must
+        still fuse to their own vector with no float-noise residual."""
+        array = ArrayCompass(ArrayConfig(geometry=ArrayGeometry.linear(3)))
+        fused = array.measure_world(302.1171875, field_ut=50.0)
+        assert fused.residual_max_fraction == 0.0
+        assert fused.flags == ()
+
     def test_blind_window_ambush_is_flagged(self):
         """A 1 µT source at 1 m sits inside the single-sensor magnitude
         window (|ΔB| too small to leave the worldwide band) yet leaves a
@@ -235,6 +243,34 @@ class TestGradiometer:
         assert not measurement.degraded  # in-band: no flag to raise
         error = abs(((measurement.heading_deg - 123.0) + 180.0) % 360.0 - 180.0)
         assert error > 0.25  # and the served heading is pulled off truth
+
+    #: Survey scenes (benchmark seed, scene index) that the old 0.005
+    #: threshold served unflagged more than 1° off: heading [deg], field
+    #: [µT], and the NearFieldSource (north, east [µT], distance [m],
+    #: bearing [deg]).
+    SILENT_AT_0_005 = {
+        (11, 3099): (37.17345960547472, 41.55809550080019,
+                     (0.024353241179711386, 0.5778705229947068, 1.0, 270.52435229657283)),
+        (11, 3844): (182.22162698864676, 60.334362364670895,
+                     (0.32213547981319335, 0.8529082637068041, 1.0, 179.41095154341266)),
+        (502, 514): (62.9504340085083, 50.19675703406107,
+                     (-0.016862348859877536, 0.5320993637960308, 1.0, 177.15023313051012)),
+        (502, 570): (149.0514887388453, 37.51622993312733,
+                     (0.2938049020484055, -0.3979843246621012, 1.0, 178.56936905098874)),
+        (505, 344): (233.99232812770757, 39.17121132678777,
+                     (-0.02476188718812594, 0.6000263856973385, 1.0, 274.1536022199511)),
+    }
+
+    @pytest.mark.parametrize("scene", sorted(SILENT_AT_0_005), ids=str)
+    def test_out_of_spec_survey_scenes_are_flagged(self, scene):
+        heading, field_ut, source = self.SILENT_AT_0_005[scene]
+        array = ArrayCompass(ArrayConfig(geometry=ArrayGeometry.square()))
+        fused = array.measure_world(
+            heading, field_ut=field_ut, source=NearFieldSource(*source)
+        )
+        assert fused.error_against(heading) > 1.0
+        assert 0.0039 <= fused.residual_max_fraction < 0.005
+        assert fused.flags == (F_ARRAY_GRADIENT,)
 
     def test_strict_mode_refuses_instead_of_flagging(self):
         array = ArrayCompass(

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.analog.comparator import Comparator, ComparatorParameters, PickupAmplifier
+from repro.analog.comparator import (
+    Comparator,
+    ComparatorParameters,
+    PickupAmplifier,
+    event_codes,
+)
 from repro.errors import ConfigurationError
 from repro.physics.noise import NOISELESS, NoiseBudget
 from repro.simulation.signals import Trace
@@ -156,21 +161,22 @@ class TestNoiseStream:
 
 
 class TestBatchCaches:
-    def _edges(self, comp, n):
+    def _edges(self, comp, n, rows=2):
         t = np.linspace(0.0, 1e-3, n)
-        v = np.sin(2 * np.pi * 4e3 * t)[None, :]
+        v = np.tile(np.sin(2 * np.pi * 4e3 * t), (rows, 1))
         return comp.falling_edges_batch(v, t)
 
     def test_code_cache_holds_multiple_grid_sizes(self):
         # Regression: a new grid size used to *replace* the whole cache,
         # so alternating sizes (chunk + remainder) recomputed every call.
+        # The tables are shared by every comparator.
         comp = Comparator(ComparatorParameters(threshold=0.1))
         self._edges(comp, 500)
-        first = comp._code_cache[500]
+        first = event_codes(500)
         self._edges(comp, 300)
-        assert set(comp._code_cache) == {500, 300}
-        self._edges(comp, 500)
-        assert comp._code_cache[500] is first  # not recomputed
+        self._edges(Comparator(ComparatorParameters(threshold=0.2)), 500)
+        assert event_codes(500) is first  # not recomputed
+        assert not first[0].flags.writeable
 
     def test_scratch_cache_bounded_lru(self):
         comp = Comparator(ComparatorParameters(threshold=0.1))
@@ -178,7 +184,7 @@ class TestBatchCaches:
             self._edges(comp, n)
         assert len(comp._batch_scratch) == comp.SCRATCH_CAPACITY == 2
         # Oldest shape (400) was evicted; most recent two remain.
-        assert set(comp._batch_scratch) == {(1, 500), (1, 600)}
+        assert set(comp._batch_scratch) == {(2, 500), (2, 600)}
 
     def test_scratch_reuse_tracks_recency(self):
         comp = Comparator(ComparatorParameters(threshold=0.1))
@@ -186,4 +192,18 @@ class TestBatchCaches:
         self._edges(comp, 500)
         self._edges(comp, 400)  # refresh 400 -> 500 is now oldest
         self._edges(comp, 600)
-        assert set(comp._batch_scratch) == {(1, 400), (1, 600)}
+        assert set(comp._batch_scratch) == {(2, 400), (2, 600)}
+
+    def test_one_row_calls_keep_no_scratch(self):
+        comp = Comparator(ComparatorParameters(threshold=0.1))
+        before = list(comp._batch_scratch)
+        one = self._edges(comp, 500, rows=1)
+        assert list(comp._batch_scratch) == before
+        assert [e.tolist() for e in one] == [self._edges(comp, 500)[0].tolist()]
+
+    def test_scratch_is_shared_by_every_comparator(self):
+        a = Comparator(ComparatorParameters(threshold=0.1))
+        b = Comparator(ComparatorParameters(threshold=0.2))
+        self._edges(a, 700)
+        assert a._batch_scratch is b._batch_scratch
+        assert (2, 700) in set(b._batch_scratch)

@@ -44,6 +44,14 @@ class TestSequencing:
         controller.run_measurement()
         assert len(controller.history) == 2 * len(controller.measurement_sequence)
 
+    def test_history_is_bounded_to_the_latest_dwells(self):
+        controller = CompassController()
+        per_measurement = len(controller.measurement_sequence)
+        for _ in range(controller.HISTORY_LIMIT // per_measurement + 3):
+            last = controller.run_measurement()
+        assert len(controller.history) == controller.HISTORY_LIMIT
+        assert list(controller.history)[-per_measurement:] == last
+
 
 class TestTiming:
     def test_count_state_duration(self):
