@@ -77,8 +77,8 @@ class FastPathStats:
     used: int = 0
     fallbacks: Dict[str, int] = field(default_factory=dict)
 
-    def record_fallback(self, reason: str) -> None:
-        self.fallbacks[reason] = self.fallbacks.get(reason, 0) + 1
+    def record_fallback(self, reason: str, count: int = 1) -> None:
+        self.fallbacks[reason] = self.fallbacks.get(reason, 0) + count
 
     @property
     def fallback_total(self) -> int:
@@ -300,16 +300,3 @@ def solve_channel_batch(
         )
     return outputs
 
-
-def solve_channel(
-    front_end,
-    sensor,
-    channel: str,
-    h_external: float,
-    grid: TimeGrid,
-) -> Optional[DetectorOutput]:
-    """Scalar wrapper around :func:`solve_channel_batch` (one field)."""
-    outputs = solve_channel_batch(
-        front_end, sensor, channel, np.array([h_external], dtype=float), grid
-    )
-    return None if outputs is None else outputs[0]

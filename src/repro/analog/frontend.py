@@ -15,12 +15,13 @@ pulse-position method was chosen for (§2.1).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, FaultError, ReproError
 from ..observe import DISABLED, Observer
 from ..observe.trace import (
     STAGE_CHANNEL,
@@ -37,6 +38,7 @@ from . import fastpath
 from .excitation import (
     EXCITATION_MEMO,
     ExcitationEntry,
+    ExcitationMemo,
     ExcitationSettings,
     ExcitationSource,
 )
@@ -185,11 +187,12 @@ class AnalogFrontEnd:
     ) -> ChannelMeasurement:
         """Excite one sensor and detect its pulse positions.
 
-        The measurement runs the channel kernel (:meth:`detect_rows`) as
-        a batch of one on the memoised excitation trace — the same
-        kernel the batch engine feeds in chunks, bit-identical to the
-        sample path.  Sensors the kernel cannot run (see
-        :meth:`runs_kernel`) take :meth:`measure_channel_sampled`.
+        The channel router (:meth:`measure_channel_rows`) on one row with
+        the process-wide excitation memo: the closed form when opted in
+        and valid, else the channel kernel (:meth:`detect_rows`) as a
+        batch of one — the kernel the batch engine feeds in chunks,
+        bit-identical to the sample path.  Sensors the kernel cannot run
+        (see :meth:`runs_kernel`) take the sample path.
 
         Parameters
         ----------
@@ -202,15 +205,88 @@ class AnalogFrontEnd:
         grid:
             Excitation time grid (integer number of periods).
         """
+        (measurement,) = self.measure_channel_rows(
+            sensor, channel, np.array([h_external], dtype=float), grid
+        )
+        return measurement
+
+    def measure_channel_sampled(
+        self,
+        sensor: FluxgateSensor,
+        channel: str,
+        h_external: float,
+        grid: TimeGrid,
+    ) -> ChannelMeasurement:
+        """The sample path: one waveform object per stage, kept.
+
+        The reference the channel kernel and the closed form are proven
+        against.
+        """
+        (measurement,) = self.measure_channel_rows(
+            sensor, channel, np.array([h_external], dtype=float), grid,
+            sampled=True,
+        )
+        return measurement
+
+    def measure_channel_rows(
+        self,
+        sensor: FluxgateSensor,
+        channel: str,
+        h_values: np.ndarray,
+        grid: TimeGrid,
+        memo: ExcitationMemo = EXCITATION_MEMO,
+        chunk_size: int = 1,
+        draw_indices: Optional[Sequence[int]] = None,
+        degrade: bool = False,
+        sampled: bool = False,
+    ) -> List[Union[ChannelMeasurement, ReproError]]:
+        """The channel router: one channel's rows through the front end.
+
+        Row ``i`` measures external field ``h_values[i]``.  With
+        ``FrontEndConfig.fastpath`` the closed form solves every row, or
+        none: if the device is ineligible or any row leaves the validity
+        envelope, the whole call takes the stepped engine.  That runs the
+        channel kernel (:meth:`detect_rows`) ``chunk_size`` rows at a time
+        on ``memo``'s excitation trace.  Sensors the kernel cannot run
+        (see :meth:`runs_kernel`), and every row when ``sampled`` is set,
+        take the sample path one row at a time.
+
+        A noisy budget takes ``draw_indices`` (one per row) or, when
+        omitted, reserves the next draws of the stream up front.  The
+        indices are explicit, so a re-run row is bit-identical: with
+        ``degrade`` a chunk that raises a non-fault
+        :class:`~repro.errors.ReproError` is re-run row by row, and a row
+        that still fails holds its error in place of a measurement.
+        """
         if not self._enabled:
             raise ConfigurationError("front-end is powered down")
-        if self.config.fastpath:
-            fast = self._measure_channel_fastpath(sensor, channel, h_external, grid)
-            if fast is not None:
-                return fast
-        return self._measure(
-            sensor, channel, h_external, grid, self.runs_kernel(sensor)
-        )
+        rows = int(h_values.size)
+        amplifier = self.amplifier
+        if draw_indices is None and not amplifier.budget.is_noiseless:
+            base = amplifier.consume_noise_draws(rows)
+            draw_indices = range(base, base + rows)
+        observer = self.observer
+        where = {"h_external": float(h_values[0])} if rows == 1 else {"rows": rows}
+        with observer.span(
+            f"{STAGE_CHANNEL}.{channel}", channel=channel, **where
+        ) as span:
+            self.excitation.select_channel(channel)
+            self.multiplexer.select(channel)
+            measured = None
+            if self.config.fastpath and not sampled:
+                measured = self._solve_rows(sensor, channel, h_values, grid)
+                if measured is not None:
+                    span.set(fastpath=True)
+            if measured is None:
+                measured = self._step_rows(
+                    sensor, channel, h_values, grid, memo,
+                    chunk_size, draw_indices, degrade, sampled,
+                )
+            if observer.tracer is not None and rows == 1:
+                first = measured[0]
+                if isinstance(first, ChannelMeasurement):
+                    span.set(duty=first.duty_cycle)
+        return measured
 
     def runs_kernel(self, sensor: FluxgateSensor) -> bool:
         """Whether ``sensor`` measures through :meth:`detect_rows`.
@@ -244,7 +320,7 @@ class AnalogFrontEnd:
         channel: str,
         entry: ExcitationEntry,
         h_values: np.ndarray,
-        draw_indices: Optional[Sequence[int]] = None,
+        draw_indices: Sequence[Optional[int]],
     ) -> List[DetectorOutput]:
         """The channel kernel: sensor → amplifier → detector over rows.
 
@@ -253,18 +329,13 @@ class AnalogFrontEnd:
         row by row.  Each stage goes through its batch seam
         (``simulate_batch``, ``amplify_batch``, ``detect_batch``), which
         is also where an armed fault injector sits.  A noisy budget takes
-        ``draw_indices`` (one per row) or, when omitted, the next draws
-        of the stream in row order — what the sample path would take.
+        ``draw_indices``, one per row.
         """
         observer = self.observer
         current = entry.current
-        amplifier = self.amplifier
         with observer.span(STAGE_PICKUP, channel=channel):
             pickup = sensor.simulate_batch(current, h_values, entry.gradient)
-            if draw_indices is None and not amplifier.budget.is_noiseless:
-                base = amplifier.consume_noise_draws(len(h_values))
-                draw_indices = range(base, base + len(h_values))
-            amplified = amplifier.amplify_batch(
+            amplified = self.amplifier.amplify_batch(
                 pickup, current.sample_rate, draw_indices
             )
         with observer.span(STAGE_COMPARATOR, channel=channel) as cmp_span:
@@ -275,42 +346,50 @@ class AnalogFrontEnd:
                 )
         return detected
 
-    def measure_channel_sampled(
+    def _solve_rows(
         self,
         sensor: FluxgateSensor,
         channel: str,
-        h_external: float,
+        h_values: np.ndarray,
         grid: TimeGrid,
-    ) -> ChannelMeasurement:
-        """The sample path: one waveform object per stage, kept.
+    ) -> Optional[List[ChannelMeasurement]]:
+        """The closed-form solve of every row; ``None`` routes the whole
+        call to the stepped engine."""
+        stats = self.fastpath_stats
+        rows = int(h_values.size)
+        stats.attempted += rows
+        reason = fastpath.ineligibility_reason(self, sensor)
+        solved: Optional[List[DetectorOutput]] = None
+        if reason is None:
+            solved = fastpath.solve_channel_batch(self, sensor, channel, h_values, grid)
+        if solved is None:
+            stats.record_fallback(reason or "validity-envelope", rows)
+            return None
+        stats.used += rows
+        with self.observer.span(STAGE_FASTPATH, channel=channel) as fp_span:
+            fp_span.set(edges=len(solved[0].edges))
+        return [ChannelMeasurement(channel, detected) for detected in solved]
 
-        The reference the channel kernel is proven against, and the route
-        for sensors the kernel cannot run (see :meth:`runs_kernel`).
-        """
-        if not self._enabled:
-            raise ConfigurationError("front-end is powered down")
-        return self._measure(sensor, channel, h_external, grid, kernel=False)
-
-    def _measure(
+    def _step_rows(
         self,
         sensor: FluxgateSensor,
         channel: str,
-        h_external: float,
+        h_values: np.ndarray,
         grid: TimeGrid,
-        kernel: bool,
-    ) -> ChannelMeasurement:
-        """One stepped channel measurement, on the kernel or the sample
-        path; both emit the same span tree."""
+        memo: ExcitationMemo,
+        chunk_size: int,
+        draw_indices: Optional[Sequence[int]],
+        degrade: bool,
+        sampled: bool,
+    ) -> List[Union[ChannelMeasurement, ReproError]]:
+        """The stepped engine: the channel kernel, or the sample path."""
         observer = self.observer
-        with observer.span(
-            f"{STAGE_CHANNEL}.{channel}", channel=channel, h_external=h_external
-        ) as span:
-            self.excitation.select_channel(channel)
-            self.multiplexer.select(channel)
-            load = sensor.params.series_resistance
+        kernel = not sampled and self.runs_kernel(sensor)
+        load = sensor.params.series_resistance
+        try:
             with observer.span(STAGE_EXCITATION, channel=channel) as exc_span:
                 if kernel:
-                    entry = EXCITATION_MEMO.entry(self.excitation, grid, channel, load)
+                    entry = memo.entry(self.excitation, grid, channel, load)
                     current = entry.current
                 else:
                     current = self.excitation.current(grid, channel, load)
@@ -318,35 +397,41 @@ class AnalogFrontEnd:
                     samples=len(current),
                     frequency_hz=self.excitation.oscillator.params.frequency_hz,
                 )
+        except ReproError as exc:
+            if not degrade or isinstance(exc, FaultError):
+                raise
+            return [exc] * int(h_values.size)
+
+        def detect(rows: range) -> List[ChannelMeasurement]:
+            h_chunk = h_values[rows.start : rows.stop]
+            draws = (
+                [None] * len(rows) if draw_indices is None
+                else draw_indices[rows.start : rows.stop]
+            )
             if kernel:
-                amplifier = self.amplifier
-                draw = None if amplifier.budget.is_noiseless else amplifier.noise_draws
-                (detected,) = self.detect_rows(
-                    sensor, channel, entry, np.array([h_external])
-                )
-                measurement = ChannelMeasurement(
-                    channel,
-                    detected,
-                    rebuild=lambda: self._sample_chain(
-                        sensor, current, h_external, draw
-                    ),
-                )
-            else:
-                with observer.span(STAGE_PICKUP, channel=channel):
-                    waveforms, amplified = self._sample_chain(
-                        sensor, current, h_external
+                detected = self.detect_rows(sensor, channel, entry, h_chunk, draws)
+                return [
+                    ChannelMeasurement(
+                        channel,
+                        out,
+                        rebuild=functools.partial(
+                            self._sample_chain, sensor, current, float(h), draw
+                        ),
                     )
-                with observer.span(STAGE_COMPARATOR, channel=channel) as cmp_span:
-                    detected = self.detector.detect(amplified)
-                    cmp_span.set(
-                        edges=len(detected.edges), duty=detected.duty_cycle()
-                    )
-                measurement = ChannelMeasurement(
-                    channel, detected, waveforms, amplified
+                    for out, h, draw in zip(detected, h_chunk, draws)
+                ]
+            with observer.span(STAGE_PICKUP, channel=channel):
+                waveforms, amplified = self._sample_chain(
+                    sensor, current, float(h_chunk[0]), draws[0]
                 )
-            if observer.tracer is not None:
-                span.set(duty=detected.duty_cycle())
-        return measurement
+            with observer.span(STAGE_COMPARATOR, channel=channel) as cmp_span:
+                out = self.detector.detect(amplified)
+                cmp_span.set(edges=len(out.edges), duty=out.duty_cycle())
+            return [ChannelMeasurement(channel, out, waveforms, amplified)]
+
+        return _detect_chunks(
+            detect, range(int(h_values.size)), chunk_size if kernel else 1, degrade
+        )
 
     def _sample_chain(
         self,
@@ -362,36 +447,27 @@ class AnalogFrontEnd:
             waveforms.pickup_voltage, draw_index=draw_index
         )
 
-    def _measure_channel_fastpath(
-        self,
-        sensor: FluxgateSensor,
-        channel: str,
-        h_external: float,
-        grid: TimeGrid,
-    ) -> Optional[ChannelMeasurement]:
-        """Attempt the closed-form solve; ``None`` routes to the stepped path."""
-        stats = self.fastpath_stats
-        stats.attempted += 1
-        reason = fastpath.ineligibility_reason(self, sensor)
-        detected: Optional[DetectorOutput] = None
-        if reason is None:
-            # Keep the multiplexing/power-gating state identical to a
-            # stepped measurement — observable via measured_offset etc.
-            self.excitation.select_channel(channel)
-            self.multiplexer.select(channel)
-            detected = fastpath.solve_channel(self, sensor, channel, h_external, grid)
-        if detected is None:
-            stats.record_fallback(reason or "validity-envelope")
-            return None
-        stats.used += 1
-        observer = self.observer
-        with observer.span(
-            f"{STAGE_CHANNEL}.{channel}",
-            channel=channel,
-            h_external=h_external,
-            fastpath=True,
-        ) as span:
-            with observer.span(STAGE_FASTPATH, channel=channel) as fp_span:
-                fp_span.set(edges=len(detected.edges))
-            span.set(duty=detected.duty_cycle())
-        return ChannelMeasurement(channel, detected)
+
+def _detect_chunks(
+    detect: Callable[[range], List[ChannelMeasurement]],
+    rows: range,
+    chunk_size: int,
+    degrade: bool,
+) -> List[Union[ChannelMeasurement, ReproError]]:
+    """``detect`` over ``rows`` in chunks of ``chunk_size``.
+
+    With ``degrade``, a chunk that raises a non-fault ``ReproError`` is
+    re-run row by row, and a row that still fails holds its error.
+    """
+    results: List[Union[ChannelMeasurement, ReproError]] = []
+    for start in range(rows.start, rows.stop, chunk_size):
+        chunk = range(start, min(start + chunk_size, rows.stop))
+        try:
+            results += detect(chunk)
+        except ReproError as exc:
+            if not degrade or isinstance(exc, FaultError):
+                raise
+            results += [exc] if len(chunk) == 1 else _detect_chunks(
+                detect, chunk, 1, degrade
+            )
+    return results

@@ -5,9 +5,11 @@ is identical across headings, and every per-sample transform
 (magnetisation, gradient, band-limit, comparator) is an elementwise or
 row-wise operation that vectorizes over a ``(N, n_samples)`` matrix.
 
-The engine feeds rows to the front end's channel kernel,
-:meth:`~repro.analog.frontend.AnalogFrontEnd.detect_rows` — the same
-kernel a scalar measurement runs as a batch of one:
+The engine runs the compass loop,
+:meth:`~repro.core.compass.IntegratedCompass.measure_rows`, on every row
+at once — the loop a scalar measurement runs on one row.  The front end
+routes each channel's rows to its channel kernel,
+:meth:`~repro.analog.frontend.AnalogFrontEnd.detect_rows`:
 
 * the excitation trace comes from the device's memo
   (:class:`ExcitationTraceCache`) and its finite-difference gradient from
@@ -31,22 +33,12 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..analog import fastpath
 from ..analog.excitation import ExcitationEntry, ExcitationMemo, ExcitationSource
-from ..analog.frontend import AnalogFrontEnd
-from ..analog.pulse_detector import DetectorOutput
 from ..core.accuracy import ErrorStats
 from ..core.compass import CompassConfig, IntegratedCompass
 from ..core.heading import HeadingMeasurement, headings_evenly_spaced
 from ..errors import ConfigurationError
-from ..observe import (
-    M_BATCH_CHUNKS,
-    M_BATCH_ROWS,
-    M_CACHE_EVENTS,
-    MetricsRegistry,
-)
-from ..observe.trace import STAGE_MEASURE
-from ..sensors.fluxgate import FluxgateSensor
+from ..observe import M_BATCH_ROWS, M_CACHE_EVENTS, MetricsRegistry
 from ..simulation.engine import TimeGrid
 from .scene import BatchScene
 
@@ -150,20 +142,17 @@ class BatchCompass:
         """Batched :meth:`IntegratedCompass.measure_components`.
 
         ``h_x[i]``/``h_y[i]`` are the axis fields of measurement ``i``
-        [A/m]; the result list is bit-identical (counts, headings, duty
-        cycles, noise draws) to calling the scalar method per pair, in
-        order.  Hysteretic cores fall back to exactly that scalar loop —
-        their state makes row-parallel evaluation meaningless.
+        [A/m].  This is the compass loop
+        (:meth:`IntegratedCompass.measure_rows`) on every row at once,
+        with this engine's ``cache`` and ``chunk_size``; the result list
+        is bit-identical (counts, headings, duty cycles, noise draws,
+        health records) to calling the scalar method per pair, in order.
 
         Failure parity: a broken sensor raises the same typed
-        :class:`~repro.errors.ReproError` subclass the scalar loop
-        raises (asserted by ``tests/test_failure_parity.py``), and every
-        row passes through the compass's
-        :class:`~repro.core.health.HealthSupervisor` exactly like a
-        scalar measurement.  The one scalar-only behaviour is the
-        *single-axis* degradation fallback: a channel failure aborts the
-        whole batch with the typed error instead of degrading row by
-        row, because the failing channel is shared by every row.
+        :class:`~repro.errors.ReproError` subclass the scalar loop raises,
+        and in degrade mode each row degrades exactly as a scalar call
+        would, single-axis fallback included (asserted by
+        ``tests/test_failure_parity.py``).
         """
         h_x = np.asarray(h_x, dtype=float)
         h_y = np.asarray(h_y, dtype=float)
@@ -171,149 +160,15 @@ class BatchCompass:
             raise ConfigurationError("h_x and h_y must be 1-D arrays of equal length")
         if h_x.size == 0:
             return []
-        compass = self.compass
-        front_end = compass.front_end
-        if not (
-            front_end.runs_kernel(compass.sensors.sensor_x)
-            and front_end.runs_kernel(compass.sensors.sensor_y)
-        ):
-            return [
-                compass.measure_components(float(x), float(y))
-                for x, y in zip(h_x, h_y)
-            ]
-
-        schedule = compass.config.schedule
-        grid = compass._channel_grid()
-        settle_time = schedule.settle_periods * grid.period
-        t0, t1 = grid.window()
-        count_window = (t0 + settle_time, t1)
-        compass.supervisor.watchdog_guard(grid.n_periods)
-
-        amplifier = front_end.amplifier
-        noisy = not amplifier.budget.is_noiseless
-        # The scalar loop draws noise x0, y0, x1, y1, …; reserve the same
-        # block up front and index into it per channel so realizations
-        # match draw-for-draw.
-        draw_base = amplifier.consume_noise_draws(2 * h_x.size) if noisy else 0
-
-        observer = compass.observer
-        with observer.span(
-            "batch.sweep", rows=int(h_x.size), chunk_size=self.chunk_size
-        ):
-            front_end.enable()
-            try:
-                detected_x = self._measure_channel_batch(
-                    compass.sensors.sensor_x, "x", h_x, grid, draw_base, 0
-                )
-                detected_y = self._measure_channel_batch(
-                    compass.sensors.sensor_y, "y", h_y, grid, draw_base, 1
-                )
-            finally:
-                front_end.disable()
-
-            measurements = []
-            recorder = observer.recorder
-            for row, (out_x, out_y) in enumerate(zip(detected_x, detected_y)):
-                if recorder is not None:
-                    recorder.on_inputs(float(h_x[row]), float(h_y[row]))
-                with observer.span(
-                    STAGE_MEASURE, path="batch", row=row
-                ) as span:
-                    measurement = compass.assemble_measurement(
-                        out_x, out_y, count_window, path="batch"
-                    )
-                    span.set(heading_deg=measurement.heading_deg)
-                measurements.append(measurement)
-            if observer.metrics is not None:
-                observer.metrics.counter(
-                    M_BATCH_ROWS, "measurement rows served by the batch engine"
-                ).inc(len(measurements))
-        return measurements
-
-    def _measure_channel_batch(
-        self,
-        sensor: FluxgateSensor,
-        channel: str,
-        h_values: np.ndarray,
-        grid: TimeGrid,
-        draw_base: int,
-        draw_offset: int,
-    ) -> List[DetectorOutput]:
-        """One channel's rows through the front end's kernel, chunk by chunk."""
-        front_end: AnalogFrontEnd = self.compass.front_end
-        front_end.excitation.select_channel(channel)
-        front_end.multiplexer.select(channel)
-        if front_end.config.fastpath:
-            solved = self._solve_channel_fastpath(sensor, channel, h_values, grid)
-            if solved is not None:
-                return solved
-        entry = self.cache.entry(
-            front_end.excitation, grid, channel, sensor.params.series_resistance
+        measurements = self.compass.measure_rows(
+            h_x, h_y, self.cache, self.chunk_size, path="batch"
         )
-        noisy = not front_end.amplifier.budget.is_noiseless
-
-        observer = self.compass.observer
-        metrics = observer.metrics
-        outputs: List[DetectorOutput] = []
-        with observer.span(f"batch.channel.{channel}", channel=channel) as span:
-            for start in range(0, h_values.size, self.chunk_size):
-                h_chunk = h_values[start : start + self.chunk_size]
-                with observer.span(
-                    "batch.chunk", channel=channel, start=start,
-                    rows=int(h_chunk.size),
-                ):
-                    draw_indices: Optional[List[int]] = None
-                    if noisy:
-                        draw_indices = [
-                            draw_base + 2 * (start + row) + draw_offset
-                            for row in range(h_chunk.size)
-                        ]
-                    outputs.extend(
-                        front_end.detect_rows(
-                            sensor, channel, entry, h_chunk, draw_indices
-                        )
-                    )
-                if metrics is not None:
-                    metrics.counter(
-                        M_BATCH_CHUNKS,
-                        "vectorized chunks processed, by channel",
-                        ("channel",),
-                    ).inc(channel=channel)
-            span.set(rows=int(h_values.size))
-        return outputs
-
-    def _solve_channel_fastpath(
-        self,
-        sensor: FluxgateSensor,
-        channel: str,
-        h_values: np.ndarray,
-        grid: TimeGrid,
-    ) -> Optional[List[DetectorOutput]]:
-        """Vectorised closed-form solve for one channel's whole batch.
-
-        Falls back (returns ``None``) for the entire batch when any row
-        is ineligible, so routing stays deterministic per sweep.
-        """
-        front_end: AnalogFrontEnd = self.compass.front_end
-        stats = front_end.fastpath_stats
-        stats.attempted += int(h_values.size)
-        reason = fastpath.ineligibility_reason(front_end, sensor)
-        solved: Optional[List[DetectorOutput]] = None
-        if reason is None:
-            solved = fastpath.solve_channel_batch(
-                front_end, sensor, channel, h_values, grid
-            )
-        if solved is None:
-            for _ in range(int(h_values.size)):
-                stats.record_fallback(reason or "validity-envelope")
-            return None
-        stats.used += int(h_values.size)
-        observer = self.compass.observer
-        with observer.span(
-            f"batch.channel.{channel}", channel=channel, fastpath=True
-        ) as span:
-            span.set(rows=int(h_values.size))
-        return solved
+        metrics = self.compass.observer.metrics
+        if metrics is not None:
+            metrics.counter(
+                M_BATCH_ROWS, "measurement rows served by the batch engine"
+            ).inc(len(measurements))
+        return measurements
 
     # -- scene / sweep APIs ------------------------------------------------------
 

@@ -10,11 +10,15 @@ compute the arctangent, update the display.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
-from ..analog.frontend import AnalogFrontEnd, FrontEndConfig
+import numpy as np
+
+from ..analog.excitation import EXCITATION_MEMO, ExcitationMemo
+from ..analog.frontend import AnalogFrontEnd, ChannelMeasurement, FrontEndConfig
 from ..analog.mux import MeasurementSchedule
 from ..analog.pulse_detector import DetectorOutput
 from ..digital.backend import DigitalBackEnd
@@ -168,8 +172,38 @@ class IntegratedCompass:
     ) -> HeadingMeasurement:
         """Measure from explicit axis field components [A/m].
 
-        The lowest-level entry point: drives the multiplexed front-end
-        once per channel and runs the digital back-end.
+        The lowest-level entry point: :meth:`measure_rows` on one row,
+        with the process-wide excitation memo.
+        """
+        (measurement,) = self.measure_rows(
+            np.array([h_x], dtype=float), np.array([h_y], dtype=float)
+        )
+        return measurement
+
+    def measure_rows(
+        self,
+        h_x: np.ndarray,
+        h_y: np.ndarray,
+        memo: ExcitationMemo = EXCITATION_MEMO,
+        chunk_size: int = 1,
+        path: str = "scalar",
+    ) -> List[HeadingMeasurement]:
+        """The compass loop: excite x, count, excite y, count, CORDIC.
+
+        Row ``i`` measures the axis fields ``h_x[i]``/``h_y[i]`` [A/m].
+        Each channel's rows go through the front end's router
+        (:meth:`AnalogFrontEnd.measure_channel_rows`) on ``memo``'s
+        excitation traces, ``chunk_size`` rows per kernel pass; then the
+        rows are assembled in order.  Every row reserves one noise draw
+        per channel up front (``x0, y0, x1, y1, …``), so the results do
+        not depend on how the rows are chunked or split across calls.
+
+        In degrade mode a row whose channel failed is served by the
+        supervisor's single-axis fallback; a row where both failed raises
+        :class:`DegradedOperationError` once the earlier rows are
+        assembled.  ``path`` labels spans, metrics and recorded records:
+        a ``"scalar"`` call roots at one ``measure`` span, any other at
+        ``batch.sweep`` with one ``measure`` span per row.
         """
         schedule = self.config.schedule
         grid = self._channel_grid()
@@ -178,59 +212,99 @@ class IntegratedCompass:
         count_window = (t0 + settle_time, t1)
         self.supervisor.watchdog_guard(grid.n_periods)
 
+        rows = len(h_x)
+        front_end = self.front_end
+        amplifier = front_end.amplifier
+        draws = {"x": None, "y": None}
+        if not amplifier.budget.is_noiseless:
+            base = amplifier.consume_noise_draws(2 * rows)
+            draws = {
+                "x": range(base, base + 2 * rows, 2),
+                "y": range(base + 1, base + 2 * rows, 2),
+            }
         degrade = self.config.health.enabled and self.config.health.degrade
-        failures = {}
-        outputs = {}
-        recorder = self.observer.recorder
-        if recorder is not None:
-            recorder.on_inputs(h_x, h_y)
-        with self.observer.span(STAGE_MEASURE, path="scalar") as root:
-            self.front_end.enable()
-            try:
-                for channel, sensor, h in (
-                    ("x", self.sensors.sensor_x, h_x),
-                    ("y", self.sensors.sensor_y, h_y),
-                ):
-                    try:
-                        meas = self.front_end.measure_channel(
-                            sensor, channel, h, grid
-                        )
-                        outputs[channel] = meas.detector_output
-                    except ReproError as exc:
-                        if not degrade or isinstance(exc, FaultError):
-                            raise
-                        failures[channel] = exc
-            finally:
-                self.front_end.disable()
-
-            if failures:
-                if len(failures) == 2:
-                    raise DegradedOperationError(
-                        "both sensor channels failed — no heading can be "
-                        f"produced (x: {failures['x']}; y: {failures['y']})"
-                    ) from failures["x"]
-                (dead,) = failures
-                alive = "y" if dead == "x" else "x"
-                fallback = self.supervisor.single_axis_fallback(
-                    alive, outputs[alive], count_window, failures[dead]
-                )
-                self.supervisor.observe(fallback)
-                if recorder is not None:
-                    recorder.on_fallback(
-                        "scalar", {alive: outputs[alive]}, count_window, fallback
-                    )
-                root.set(heading_deg=fallback.heading_deg, fallback=True)
-                if self.observer.metrics is not None:
-                    _record_measurement(
-                        self.observer.metrics, fallback, "scalar"
-                    )
-                return fallback
-
-            measurement = self.assemble_measurement(
-                outputs["x"], outputs["y"], count_window
+        observer = self.observer
+        scalar = path == "scalar"
+        if scalar:
+            root_span = observer.span(STAGE_MEASURE, path=path)
+        else:
+            root_span = observer.span(
+                "batch.sweep", rows=rows, chunk_size=chunk_size
             )
-            root.set(heading_deg=measurement.heading_deg)
-        return measurement
+        with root_span as root:
+            front_end.enable()
+            try:
+                channels = {
+                    channel: front_end.measure_channel_rows(
+                        sensor, channel, h, grid, memo,
+                        chunk_size, draws[channel], degrade,
+                    )
+                    for channel, sensor, h in (
+                        ("x", self.sensors.sensor_x, h_x),
+                        ("y", self.sensors.sensor_y, h_y),
+                    )
+                }
+            finally:
+                front_end.disable()
+
+            measurements = []
+            for row in range(rows):
+                if scalar:
+                    row_span = contextlib.nullcontext(root)
+                else:
+                    row_span = observer.span(STAGE_MEASURE, path=path, row=row)
+                with row_span as span:
+                    if observer.recorder is not None:
+                        observer.recorder.on_inputs(float(h_x[row]), float(h_y[row]))
+                    measurement = self._assemble_row(
+                        {channel: out[row] for channel, out in channels.items()},
+                        count_window, path, span,
+                    )
+                    span.set(heading_deg=measurement.heading_deg)
+                measurements.append(measurement)
+        return measurements
+
+    def _assemble_row(
+        self,
+        measured: Dict[str, Union[ChannelMeasurement, ReproError]],
+        count_window: Tuple[float, float],
+        path: str,
+        span,
+    ) -> HeadingMeasurement:
+        """One row's heading from its per-channel results: both channels
+        assembled, or the single-axis fallback when one of them failed."""
+        failures = {
+            channel: result
+            for channel, result in measured.items()
+            if isinstance(result, ReproError)
+        }
+        if not failures:
+            return self.assemble_measurement(
+                measured["x"].detector_output,
+                measured["y"].detector_output,
+                count_window,
+                path=path,
+            )
+        if len(failures) == 2:
+            raise DegradedOperationError(
+                "both sensor channels failed — no heading can be "
+                f"produced (x: {failures['x']}; y: {failures['y']})"
+            ) from failures["x"]
+        (dead,) = failures
+        alive = "y" if dead == "x" else "x"
+        output = measured[alive]
+        fallback = self.supervisor.single_axis_fallback(
+            alive, output.detector_output, count_window, failures[dead]
+        )
+        self.supervisor.observe(fallback)
+        if self.observer.recorder is not None:
+            self.observer.recorder.on_fallback(
+                path, {alive: output.detector_output}, count_window, fallback
+            )
+        span.set(heading_deg=fallback.heading_deg, fallback=True)
+        if self.observer.metrics is not None:
+            _record_measurement(self.observer.metrics, fallback, path)
+        return fallback
 
     def assemble_measurement(
         self,

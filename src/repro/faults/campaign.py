@@ -300,9 +300,10 @@ class FaultCampaign:
                     self.headings_deg, self.field_magnitude_t
                 )
             except ReproError as exc:
-                # A channel fault aborts the whole batch with the typed
-                # error (documented failure parity): every heading in the
-                # batch is a loud detection.
+                # A typed error aborts the whole batch — a fault the
+                # supervisor cannot degrade around, or a row whose two
+                # channels both failed: every heading in the batch is a
+                # loud detection.
                 detail = f"{type(exc).__name__}: {exc}"
                 return [
                     self._cell(

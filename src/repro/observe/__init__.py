@@ -42,7 +42,6 @@ from .config import (
     M_ARRAY_ELEMENTS,
     M_ARRAY_FUSIONS,
     M_ARRAY_RESIDUAL,
-    M_BATCH_CHUNKS,
     M_BATCH_ROWS,
     M_BREAKER_STATE,
     M_BREAKER_TRANSITIONS,
@@ -113,7 +112,6 @@ __all__ = [
     "M_ARRAY_ELEMENTS",
     "M_ARRAY_FUSIONS",
     "M_ARRAY_RESIDUAL",
-    "M_BATCH_CHUNKS",
     "M_BATCH_ROWS",
     "M_BREAKER_STATE",
     "M_BREAKER_TRANSITIONS",

@@ -36,7 +36,6 @@ M_FIELD = "compass_field_estimate_ut"              # {path} histogram
 M_HEALTH_CHECKS = "health_checks_total"            # {check, outcome}
 M_HEALTH_FALLBACKS = "health_fallbacks_total"      # {kind}
 M_BATCH_ROWS = "batch_rows_total"                  # {}
-M_BATCH_CHUNKS = "batch_chunks_total"              # {channel}
 M_CACHE_EVENTS = "excitation_cache_total"          # {event: hit|miss}
 M_CAMPAIGN_CELLS = "campaign_cells_total"          # {path, outcome}
 M_CAMPAIGN_ERROR = "campaign_error_deg"            # {path} histogram
@@ -219,7 +218,6 @@ __all__ = [
     "M_ARRAY_ELEMENTS",
     "M_ARRAY_FUSIONS",
     "M_ARRAY_RESIDUAL",
-    "M_BATCH_CHUNKS",
     "M_BATCH_ROWS",
     "M_BREAKER_STATE",
     "M_BREAKER_TRANSITIONS",

@@ -116,3 +116,35 @@ class TestDegradedParity:
         assert scalar_m.health.fallback == batch_m.health.fallback
         assert scalar_m.heading_deg == batch_m.heading_deg
         assert scalar_m.x_count == batch_m.x_count
+
+    @pytest.mark.parametrize(
+        "fault,severity",
+        [
+            ("sensor.shorted_pickup_coil", 0.9),
+            ("sensor.shorted_pickup_coil", 1.0),
+            ("sensor.axis_gain_mismatch", 0.9),
+            ("sensor.open_excitation_coil", 1.0),
+        ],
+    )
+    def test_single_axis_fallback_matches_scalar_loop(self, fault, severity):
+        headings = (HEADINGS[1], 300.0, 10.5)
+
+        def build():
+            return IntegratedCompass(
+                CompassConfig(health=HealthConfig(degrade=True))
+            )
+
+        scalar = build()
+        scalar.measure_heading(HEADINGS[0])
+        with REGISTRY.inject(fault, scalar, severity):
+            scalar_ms = [scalar.measure_heading(h) for h in headings]
+
+        shared = build()
+        batch = BatchCompass(shared, chunk_size=2)
+        batch.sweep_headings([HEADINGS[0]])
+        with REGISTRY.inject(fault, shared, severity):
+            batch_ms = batch.sweep_headings(headings)
+
+        assert batch_ms == scalar_ms
+        assert [m.health.fallback for m in batch_ms] == ["single-axis-y"] * 3
+        assert [m.health.stale_measurements for m in batch_ms] == [1, 2, 3]

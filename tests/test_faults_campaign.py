@@ -63,8 +63,12 @@ class TestSmokeCampaign:
     """The acceptance-criteria campaign: every fault, both paths."""
 
     @pytest.fixture(scope="class")
-    def result(self):
-        return FaultCampaign(headings_deg=(45.0, 222.25)).run()
+    def campaign(self):
+        return FaultCampaign(headings_deg=(45.0, 222.25))
+
+    @pytest.fixture(scope="class")
+    def result(self, campaign):
+        return campaign.run()
 
     def test_zero_silent_wrong(self, result):
         assert result.silent_wrong() == []
@@ -75,9 +79,13 @@ class TestSmokeCampaign:
     def test_every_registered_fault_was_exercised(self, result):
         assert set(result.summary()["faults"]) == set(REGISTRY.names())
 
-    def test_both_paths_ran(self, result):
-        paths = {cell.path for cell in result.cells}
-        assert paths == {"scalar", "batch", "scan"}
+    def test_both_paths_ran(self, campaign, result):
+        # Measurement faults run on the configured paths; every other
+        # fault runs on its own probe (scan, array or scenario).
+        probes = {campaign.registry.get(name).probe for name in campaign.fault_names}
+        expected = set(campaign.paths) | (probes - {"measurement"})
+        assert expected >= {"scalar", "batch", "scan", "array", "scenario"}
+        assert {cell.path for cell in result.cells} == expected
 
     def test_detections_and_degradations_exist(self, result):
         summary = result.summary()["outcomes"]

@@ -77,9 +77,12 @@ class TestSolverEdgeProperty:
     ):
         fe = AnalogFrontEnd(FrontEndConfig(detector=detector))
         sensor = FluxgateSensor(IDEAL_TARGET)
-        fast = fastpath.solve_channel(fe, sensor, "x", h_external, self.GRID)
-        if fast is None:
+        solved = fastpath.solve_channel_batch(
+            fe, sensor, "x", np.array([h_external]), self.GRID
+        )
+        if solved is None:
             return  # outside the drawn envelope: the fallback seam applies
+        (fast,) = solved
         stepped = fe.measure_channel(
             sensor, "x", h_external, self.GRID
         ).detector_output
