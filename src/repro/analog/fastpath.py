@@ -25,9 +25,14 @@ core those times are analytically computable — the §2.1 arithmetic
   ``−(Var/2)·w''/w'`` (see :func:`_curvature_shift`), and the comparator
   its propagation delay.
 
-The solver emits the same :class:`~repro.analog.pulse_detector
-.DetectorOutput` edge stream the counter consumes — no sampled waveform
-is ever materialised.  It *refuses* (returns ``None``) whenever the
+The solver emits the edge stream the counter consumes as an
+:class:`~repro.analog.pulse_detector.EdgeMatrix` — the set/reset times
+of every row as one array, which the columnar back-end counts directly
+and which builds a row's :class:`~repro.analog.pulse_detector
+.DetectorOutput` only when read.  No sampled waveform is ever
+materialised.  The device constants of a solve (slews, crossings,
+curvature shifts, guard bounds) depend on configuration values only and
+are memoised on them.  It *refuses* (returns ``None``) whenever the
 closed form would not reproduce the stepped engine: noise in the budget,
 a non-tanh core, soft-start or nonlinear excitation, an armed
 analog-layer fault injector, or an external field that pushes a crossing
@@ -39,15 +44,17 @@ see ``docs/fastpath.md`` for the error budget).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
 from ..physics.magnetics import TanhCore
 from ..simulation.engine import TimeGrid
-from .pulse_detector import DetectorOutput, LogicEdge
+from .excitation import _grid_key
+from .pulse_detector import EdgeMatrix
 
 #: Refuse when the comparator level is above this fraction of the pulse
 #: peak: near the peak the level crossing becomes tangent and the stepped
@@ -134,7 +141,7 @@ def ineligibility_reason(front_end, sensor) -> Optional[str]:
     return None
 
 
-def _filter_delay_tau_var2(amplifier, dt: float) -> tuple:
+def _filter_delay_tau_var2(bandwidth: Optional[float], dt: float) -> tuple:
     """Delay, time constant and half-variance of the discrete filter.
 
     Mirrors :meth:`PickupAmplifier._lowpass`: no filtering when the
@@ -146,7 +153,6 @@ def _filter_delay_tau_var2(amplifier, dt: float) -> tuple:
     extra ``−(Var/2)·y''/y'``.
     """
     sample_rate = 1.0 / dt
-    bandwidth = amplifier.bandwidth_hz
     if bandwidth is None or bandwidth >= sample_rate / 2.0:
         return 0.0, 0.0, 0.0
     alpha = math.exp(-2.0 * math.pi * bandwidth / sample_rate)
@@ -185,42 +191,48 @@ def _curvature_shift(var2: float, slew: float, hk: float, q: float) -> float:
     return var2 * (slew / hk) * (2.0 - 3.0 * q) / math.sqrt(1.0 - q)
 
 
-def solve_channel_batch(
-    front_end,
-    sensor,
-    channel: str,
-    h_external: np.ndarray,
-    grid: TimeGrid,
-) -> Optional[List[DetectorOutput]]:
-    """Closed-form detector outputs for a batch of external fields.
+class _Plan(NamedTuple):
+    """The per-device constants of one channel's closed-form solve."""
 
-    Returns one :class:`DetectorOutput` per entry of ``h_external`` —
-    equal to the stepped engine's output to well below one grid tick —
-    or ``None`` when *any* entry leaves the validity envelope (the
-    caller falls back to the stepped engine for the whole batch, keeping
-    routing deterministic and trivially diffable).
+    h_offset: float
+    h_amp: float
+    #: Bounds on ``H0 = H_offset + H_ext`` that keep all four crossings
+    #: inside the guarded ramps: trip after the corner, release before
+    #: the apex.
+    h0_min: float
+    h0_max: float
+    h_release_rise: float
+    h_release_fall: float
+    period: float
+    rise: float
+    set_offset: float
+    reset_offset: float
+    window: tuple
+    n_periods: int
 
-    ``ineligibility_reason`` must have returned ``None`` first; this
-    function only adds the geometry- and field-dependent checks.
+
+@functools.lru_cache(maxsize=16)
+def _plan(
+    osc, converter, params, core_params, gain, bandwidth, pos, neg, grid_key, channel
+) -> Optional[_Plan]:
+    """The solve's constants, or ``None`` when the device leaves the
+    envelope whatever the field.
+
+    A pure function of its arguments, so it is memoised on their values:
+    the oscillator, converter, sensor and core parameters, the amplifier's
+    gain and bandwidth, both comparators, the grid and the channel.
     """
-    excitation = front_end.excitation
-    osc = excitation.oscillator.params
+    grid = TimeGrid(*grid_key)
     # The compass builds its grid on the oscillator's own frequency; a
     # grid on any other clock would sample a non-periodic pattern.
     if grid.t_start != 0.0 or grid.frequency_hz != osc.frequency_hz:
         return None
-    converter = excitation.converters[channel]
-    params = sensor.params
-    core_params = sensor.core.params
 
-    gm = converter.params.transconductance
+    gm = converter.transconductance
     # Stay clear of the compliance limit: at the margin the stepped
     # engine's sampled-peak check decides, so let it.
     peak_volts = abs(osc.amplitude) + abs(osc.residual_offset)
-    if (
-        params.series_resistance * abs(gm) * peak_volts
-        >= converter.params.compliance_voltage
-    ):
+    if params.series_resistance * abs(gm) * peak_volts >= converter.compliance_voltage:
         return None
 
     coil = params.excitation_coil_constant
@@ -237,16 +249,14 @@ def solve_channel_batch(
     bs = core_params.saturation_flux_density
     hk = core_params.anisotropy_field
     mu_max = bs / hk
-    scale = front_end.amplifier.gain * params.pickup_turns * params.core_area
-    delay, tau, var2 = _filter_delay_tau_var2(front_end.amplifier, grid.dt)
+    scale = gain * params.pickup_turns * params.core_area
+    delay, tau, var2 = _filter_delay_tau_var2(bandwidth, grid.dt)
     if tau > 0.0 and (
         hk / slew_rise < MIN_BANDWIDTH_RATIO * tau
         or hk / slew_fall < MIN_BANDWIDTH_RATIO * tau
     ):
         return None
 
-    pos = front_end.detector.comparator_positive.params
-    neg = front_end.detector.comparator_negative.params
     release_rise = _crossing(pos.release_level, scale * slew_rise, mu_max, hk)
     trip_rise = _crossing(pos.trip_level, scale * slew_rise, mu_max, hk)
     release_fall = _crossing(neg.release_level, scale * slew_fall, mu_max, hk)
@@ -262,41 +272,95 @@ def solve_channel_batch(
 
     guard_rise = (GUARD_FILTER_TAUS * tau + GUARD_GRID_SAMPLES * grid.dt) * slew_rise
     guard_fall = (GUARD_FILTER_TAUS * tau + GUARD_GRID_SAMPLES * grid.dt) * slew_fall
-    h0 = np.asarray(h_external, dtype=float) + h_offset
-    # Both crossings of both ramps must sit strictly inside the guarded
-    # ramp: trip after the corner, release before the apex.
-    valid = (
-        (h0 <= h_amp - h_trip_rise - guard_rise)
-        & (h0 >= h_release_rise - h_amp + guard_rise)
-        & (h0 >= h_trip_fall - h_amp + guard_fall)
-        & (h0 <= h_amp - h_release_fall - guard_fall)
+    return _Plan(
+        h_offset=h_offset,
+        h_amp=h_amp,
+        h0_min=max(
+            h_release_rise - h_amp + guard_rise, h_trip_fall - h_amp + guard_fall
+        ),
+        h0_max=min(
+            h_amp - h_trip_rise - guard_rise, h_amp - h_release_fall - guard_fall
+        ),
+        h_release_rise=h_release_rise,
+        h_release_fall=h_release_fall,
+        period=period,
+        rise=rise,
+        set_offset=delay + shift_rise + pos.delay,
+        reset_offset=delay + shift_fall + neg.delay,
+        window=(grid.t_start, grid.t_start + float(grid.n_samples - 1) * grid.dt),
+        n_periods=grid.n_periods,
     )
-    if not bool(np.all(valid)):
+
+
+def solve_channel_batch(
+    front_end,
+    sensor,
+    channel: str,
+    h_external: np.ndarray,
+    grid: TimeGrid,
+) -> Optional[EdgeMatrix]:
+    """Closed-form detector outputs for a batch of external fields.
+
+    Returns an :class:`EdgeMatrix` with one row per entry of
+    ``h_external`` — each equal to the stepped engine's output to well
+    below one grid tick — or ``None`` when *any* entry leaves the
+    validity envelope (the caller falls back to the stepped engine for
+    the whole batch, keeping routing deterministic and trivially
+    diffable).  Row ``i`` alternates set and reset edges, one pair per
+    excitation period, starting low.
+
+    ``ineligibility_reason`` must have returned ``None`` first; this
+    function only adds the geometry- and field-dependent checks.
+    """
+    excitation = front_end.excitation
+    amplifier = front_end.amplifier
+    detector = front_end.detector
+    plan = _plan(
+        excitation.oscillator.params,
+        excitation.converters[channel].params,
+        sensor.params,
+        sensor.core.params,
+        amplifier.gain,
+        amplifier.bandwidth_hz,
+        detector.comparator_positive.params,
+        detector.comparator_negative.params,
+        _grid_key(grid),
+        channel,
+    )
+    if plan is None:
+        return None
+    h0 = np.asarray(h_external, dtype=float) + plan.h_offset
+    # Both crossings of both ramps must sit strictly inside the guarded
+    # ramps (a NaN field fails both comparisons).
+    if h0.size and not (h0.min() >= plan.h0_min and h0.max() <= plan.h0_max):
         return None
 
     # Ramp inversion: normalised triangle value at the crossing → time.
-    v_set = (h_release_rise - h0) / h_amp
-    v_reset = (-h_release_fall - h0) / h_amp
-    periods = np.arange(grid.n_periods, dtype=float) * period
-    t_set = (
+    h_amp, period, rise = plan.h_amp, plan.period, plan.rise
+    v_set = (plan.h_release_rise - h0) / h_amp
+    v_reset = (-plan.h_release_fall - h0) / h_amp
+    periods = np.arange(plan.n_periods, dtype=float) * period
+    rows = h0.size
+    times = np.empty((rows, 2 * plan.n_periods))
+    times[:, 0::2] = (
         periods[None, :]
         + (v_set[:, None] + 1.0) * (0.5 * rise * period)
-        + (delay + shift_rise + pos.delay)
+        + plan.set_offset
     )
-    t_reset = (
+    times[:, 1::2] = (
         periods[None, :]
         + (rise + (1.0 - v_reset[:, None]) * 0.5 * (1.0 - rise)) * period
-        + (delay + shift_fall + neg.delay)
+        + plan.reset_offset
     )
-    window = (grid.t_start, grid.t_start + float(grid.n_samples - 1) * grid.dt)
-    outputs: List[DetectorOutput] = []
-    for row in range(h0.size):
-        edges: List[LogicEdge] = []
-        for j in range(grid.n_periods):
-            edges.append(LogicEdge(float(t_set[row, j]), 1))
-            edges.append(LogicEdge(float(t_reset[row, j]), 0))
-        outputs.append(
-            DetectorOutput(edges=tuple(edges), initial_value=0, window=window)
-        )
-    return outputs
-
+    values = np.empty(times.shape, dtype=np.int8)
+    values[:, 0::2] = 1
+    values[:, 1::2] = 0
+    windows = np.empty((rows, 2))
+    windows[:] = plan.window
+    return EdgeMatrix(
+        times,
+        values,
+        np.zeros(rows, dtype=np.int8),
+        windows,
+        np.full(rows, 2 * plan.n_periods, dtype=np.int64),
+    )

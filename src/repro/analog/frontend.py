@@ -45,13 +45,21 @@ from .excitation import (
 from .fastpath import FastPathStats
 from .mux import SensorMultiplexer
 from .comparator import PickupAmplifier
-from .pulse_detector import DetectorOutput, DetectorParameters, PulsePositionDetector
+from .pulse_detector import (
+    DetectorOutput,
+    DetectorParameters,
+    EdgeMatrix,
+    PulsePositionDetector,
+)
 
 
 class ChannelMeasurement:
     """Everything produced by one single-channel front-end run.
 
-    ``detector_output`` is what the digital back-end consumes.  The
+    ``detector_output`` is what the digital back-end consumes.  A
+    fast-path solve hands over its :class:`EdgeMatrix` (``edges``) and the
+    row instead; the row's :class:`DetectorOutput` is built on first read,
+    and the columnar back-end counts the matrix without building it.  The
     intermediate traces (``waveforms``, ``amplified_pickup``) come from
     the sample path: a sample-path run carries them, a channel-kernel run
     rebuilds them on first read by re-running the sample path on the same
@@ -62,16 +70,26 @@ class ChannelMeasurement:
     def __init__(
         self,
         channel: str,
-        detector_output: DetectorOutput,
+        detector_output: Optional[DetectorOutput] = None,
         waveforms: Optional[SensorWaveforms] = None,
         amplified_pickup: Optional[Trace] = None,
         rebuild: Optional[Callable[[], Tuple[SensorWaveforms, Trace]]] = None,
+        edges: Optional[EdgeMatrix] = None,
+        row: int = 0,
     ):
         self.channel = channel
-        self.detector_output = detector_output
+        self._detector_output = detector_output
         self._waveforms = waveforms
         self._amplified_pickup = amplified_pickup
         self._rebuild = rebuild
+        self.edges = edges
+        self.row = row
+
+    @property
+    def detector_output(self) -> DetectorOutput:
+        if self._detector_output is None:
+            self._detector_output = self.edges[self.row]
+        return self._detector_output
 
     def _materialise(self) -> None:
         if self._rebuild is not None:
@@ -359,7 +377,7 @@ class AnalogFrontEnd:
         rows = int(h_values.size)
         stats.attempted += rows
         reason = fastpath.ineligibility_reason(self, sensor)
-        solved: Optional[List[DetectorOutput]] = None
+        solved: Optional[EdgeMatrix] = None
         if reason is None:
             solved = fastpath.solve_channel_batch(self, sensor, channel, h_values, grid)
         if solved is None:
@@ -367,8 +385,10 @@ class AnalogFrontEnd:
             return None
         stats.used += rows
         with self.observer.span(STAGE_FASTPATH, channel=channel) as fp_span:
-            fp_span.set(edges=len(solved[0].edges))
-        return [ChannelMeasurement(channel, detected) for detected in solved]
+            fp_span.set(edges=int(solved.lengths[0]))
+        return [
+            ChannelMeasurement(channel, edges=solved, row=row) for row in range(rows)
+        ]
 
     def _step_rows(
         self,

@@ -23,7 +23,7 @@ component measured" and no ADC is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -104,6 +104,70 @@ class DetectorOutput:
                 edge = next(edge_iter, None)
             v[i] = float(value)
         return Trace(t, v)
+
+
+class EdgeMatrix(Sequence[DetectorOutput]):
+    """The detector outputs of many rows, held as arrays.
+
+    Row ``i`` has ``lengths[i]`` time-ordered edges: times in
+    ``times[i, :lengths[i]]`` and latch values (1 after a set, 0 after a
+    reset) in ``values[i, :lengths[i]]``.  Shorter rows are padded with
+    ``+inf`` times up to the longest row.  ``initial[i]`` and
+    ``windows[i]`` are that row's ``initial_value`` and ``window``.
+
+    The columnar back-end (:mod:`repro.digital.columnar`) reads the
+    arrays.  Indexing builds the row's :class:`DetectorOutput`, edge for
+    edge equal to the one the per-row engines produce, for readers that
+    want the per-row form.
+    """
+
+    def __init__(
+        self,
+        times: np.ndarray,
+        values: np.ndarray,
+        initial: np.ndarray,
+        windows: np.ndarray,
+        lengths: np.ndarray,
+    ):
+        self.times = times
+        self.values = values
+        self.initial = initial
+        self.windows = windows
+        self.lengths = lengths
+
+    @classmethod
+    def from_outputs(cls, outputs: Sequence[DetectorOutput]) -> "EdgeMatrix":
+        """Stack per-row detector outputs (ragged rows padded)."""
+        lengths = np.array([len(out.edges) for out in outputs], dtype=np.int64)
+        width = int(lengths.max()) if lengths.size else 0
+        times = np.full((len(outputs), width), np.inf)
+        values = np.zeros((len(outputs), width), dtype=np.int8)
+        for row, out in enumerate(outputs):
+            n = len(out.edges)
+            times[row, :n] = [edge.time for edge in out.edges]
+            values[row, :n] = [edge.value for edge in out.edges]
+        initial = np.array([out.initial_value for out in outputs], dtype=np.int8)
+        windows = np.array([out.window for out in outputs], dtype=float).reshape(-1, 2)
+        return cls(times, values, initial, windows, lengths)
+
+    def sorted_rows(self) -> np.ndarray:
+        """Rows whose edge times never decrease (padding included)."""
+        return np.all(self.times[:, 1:] >= self.times[:, :-1], axis=1)
+
+    def __len__(self) -> int:
+        return self.times.shape[0]
+
+    def __getitem__(self, row: int) -> DetectorOutput:
+        row = range(len(self))[row]
+        n = int(self.lengths[row])
+        times = self.times[row, :n].tolist()
+        values = self.values[row, :n].tolist()
+        t_start, t_end = self.windows[row].tolist()
+        return DetectorOutput(
+            edges=tuple(map(LogicEdge, times, values)),
+            initial_value=int(self.initial[row]),
+            window=(t_start, t_end),
+        )
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ import numpy as np
 from ..analog.excitation import EXCITATION_MEMO, ExcitationMemo
 from ..analog.frontend import AnalogFrontEnd, ChannelMeasurement, FrontEndConfig
 from ..analog.mux import MeasurementSchedule
-from ..analog.pulse_detector import DetectorOutput
+from ..analog.pulse_detector import DetectorOutput, EdgeMatrix
+from ..digital import columnar
 from ..digital.backend import DigitalBackEnd
 from ..digital.counter import CounterConfig
 from ..digital.display import DisplayFrame, DisplayMode
@@ -43,7 +44,13 @@ from ..sensors.parameters import FluxgateParameters, IDEAL_TARGET
 from ..simulation.engine import TimeGrid
 from ..units import CORDIC_ITERATIONS
 from .heading import HeadingMeasurement
-from .health import HealthConfig, HealthSupervisor
+from .health import ChannelEvidence, HealthConfig, HealthSupervisor
+
+#: Rows from which one compass-loop call runs its digital back-end as
+#: array operations (:mod:`repro.digital.columnar`).  Below it the
+#: per-row datapath is faster: NumPy's per-call overhead outweighs the
+#: Python loop it replaces (docs/signal_chain.md §8).
+COLUMNAR_MIN_ROWS = 4
 
 
 def _record_measurement(
@@ -69,6 +76,58 @@ def _record_measurement(
         ("path",),
         buckets=FIELD_BUCKETS_UT,
     ).observe(measurement.field_estimate_tesla * 1e6, path=path)
+
+
+def _edge_matrix(measurements: List[ChannelMeasurement]) -> EdgeMatrix:
+    """One channel's rows as an edge matrix: the closed form's own matrix
+    (the router solves every row of a call, or none), else the stepped
+    rows' detector outputs stacked."""
+    matrix = measurements[0].edges
+    if matrix is not None and len(matrix) == len(measurements):
+        return matrix
+    return EdgeMatrix.from_outputs([m.detector_output for m in measurements])
+
+
+class _ColumnarRows:
+    """The array stages of one columnar call: the back-end results, the
+    detectors' own duty cycles and, under supervision, each channel's
+    health evidence."""
+
+    def __init__(
+        self,
+        compass: "IntegratedCompass",
+        edges_x: EdgeMatrix,
+        edges_y: EdgeMatrix,
+        count_window: Tuple[float, float],
+    ):
+        self.back = compass.back_end.process_columns(edges_x, edges_y, count_window)
+        served = np.array(self.back.served)
+        self.detector_duty = []
+        self._features = []
+        for edges in (edges_x, edges_y):
+            t_start, t_end = edges.windows[:, 0], edges.windows[:, 1]
+            # DetectorOutput.duty_cycle refuses an empty window.
+            served &= t_end > t_start
+            duty = columnar.duty_cycles(edges, t_start, t_end)
+            self.detector_duty.append(duty.tolist())
+            if compass.supervisor.enabled:
+                sets, resets = columnar.edges_in_window(edges, count_window)
+                duty = columnar.duty_cycles(edges, *count_window)
+                self._features.append((duty.tolist(), sets.tolist(), resets.tolist()))
+        #: Rows assembled from these columns; the rest run per row.
+        self.served = served.tolist()
+
+    def evidence(self, row: int) -> List[ChannelEvidence]:
+        """The row's health evidence, x then y."""
+        back = self.back
+        return [
+            ChannelEvidence(
+                count[row], back.total_ticks, duty[row], sets[row], resets[row]
+            )
+            for count, (duty, sets, resets) in zip(
+                (back.x_count, back.y_count), self._features
+            )
+        ]
 
 
 @dataclass(frozen=True)
@@ -247,6 +306,7 @@ class IntegratedCompass:
             finally:
                 front_end.disable()
 
+            columns = self._columnar_rows(channels, count_window)
             measurements = []
             for row in range(rows):
                 if scalar:
@@ -256,13 +316,94 @@ class IntegratedCompass:
                 with row_span as span:
                     if observer.recorder is not None:
                         observer.recorder.on_inputs(float(h_x[row]), float(h_y[row]))
-                    measurement = self._assemble_row(
-                        {channel: out[row] for channel, out in channels.items()},
-                        count_window, path, span,
-                    )
+                    if columns is not None and columns.served[row]:
+                        measurement = self._assemble_column_row(
+                            columns, row, count_window, path
+                        )
+                    else:
+                        measurement = self._assemble_row(
+                            {channel: out[row] for channel, out in channels.items()},
+                            count_window, path, span,
+                        )
                     span.set(heading_deg=measurement.heading_deg)
                 measurements.append(measurement)
         return measurements
+
+    def _columnar_rows(
+        self,
+        channels: Dict[str, List[Union[ChannelMeasurement, ReproError]]],
+        count_window: Tuple[float, float],
+    ) -> Optional["_ColumnarRows"]:
+        """The digital back-end of a multi-row call as array operations,
+        or ``None`` to run every row through the per-row datapath.
+
+        Columnar needs at least :data:`COLUMNAR_MIN_ROWS` rows, every
+        channel measured (a failed channel takes the per-row single-axis
+        fallback), no tracer or replay recorder (their spans and records
+        come from the per-row datapath), a back-end that is
+        :meth:`DigitalBackEnd.columnar_ready` and no instance-patched
+        assembly or review.  Rows the per-row datapath would refuse run
+        through it, so it raises its own errors in row order.
+        """
+        observer = self.observer
+        if (
+            len(channels["x"]) < COLUMNAR_MIN_ROWS
+            or observer.tracer is not None
+            or observer.recorder is not None
+            or "assemble_measurement" in vars(self)
+            or "review" in vars(self.supervisor)
+            or not self.back_end.columnar_ready()
+            or any(
+                isinstance(out, ReproError)
+                for outs in channels.values()
+                for out in outs
+            )
+        ):
+            return None
+        return _ColumnarRows(
+            self, _edge_matrix(channels["x"]), _edge_matrix(channels["y"]), count_window
+        )
+
+    def _assemble_column_row(
+        self,
+        columns: "_ColumnarRows",
+        row: int,
+        count_window: Tuple[float, float],
+        path: str,
+    ) -> HeadingMeasurement:
+        """One row of a columnar call: what :meth:`assemble_measurement`
+        does, on the row's precomputed back-end results and health
+        evidence.  The health verdict, last-known-good bookkeeping, the
+        controller walk and metrics stay per row."""
+        back = columns.back
+        self.back_end.complete_row(back, row)
+        x_count, y_count = back.x_count[row], back.y_count[row]
+        ticks = back.total_ticks
+        field_estimate = self._field_estimate(x_count, ticks, y_count, ticks)
+        health = None
+        supervisor = self.supervisor
+        if supervisor.enabled:
+            try:
+                health = supervisor.judge(
+                    *columns.evidence(row), count_window, field_estimate
+                )
+            except FaultError as fault:
+                return self._stale_fallback(fault, path, None, count_window)
+        measurement = HeadingMeasurement(
+            heading_deg=back.heading_deg[row],
+            x_count=x_count,
+            y_count=y_count,
+            duty_x=columns.detector_duty[0][row],
+            duty_y=columns.detector_duty[1][row],
+            measurement_time_s=self.back_end.controller.measurement_duration(),
+            cordic_cycles=back.cordic_cycles,
+            field_estimate_a_per_m=field_estimate,
+            health=health,
+        )
+        if supervisor.enabled:
+            supervisor.observe(measurement)
+        self._record_served(measurement, path, ticks, ticks)
+        return measurement
 
     def _assemble_row(
         self,
@@ -325,11 +466,6 @@ class IntegratedCompass:
             window_x=count_window,
             window_y=count_window,
         )
-        # The counter pair also encodes the field *magnitude*:
-        # |count| = ticks · |H| / Ha.  The arctangent discards it, but it
-        # is free diagnostic information (see repro.core.anomaly).  Each
-        # count is normalised by its *own* channel's tick total — the
-        # windows may legitimately differ.
         x_ticks = result.x_result.total_ticks
         y_ticks = result.y_result.total_ticks
         if x_ticks == 0 or y_ticks == 0:
@@ -338,11 +474,8 @@ class IntegratedCompass:
                 f"{'x' if x_ticks == 0 else 'y'}; widen the window or slow "
                 "the measurement schedule"
             )
-        amplitude = self.config.front_end.excitation.current_amplitude
-        h_amp = self.config.sensor.excitation_coil_constant * amplitude
-        field_estimate = math.hypot(
-            result.x_count * h_amp / x_ticks,
-            result.y_count * h_amp / y_ticks,
+        field_estimate = self._field_estimate(
+            result.x_count, x_ticks, result.y_count, y_ticks
         )
         health = None
         if self.supervisor.enabled:
@@ -351,20 +484,9 @@ class IntegratedCompass:
                     result, detector_x, detector_y, count_window, field_estimate
                 )
             except FaultError as fault:
-                # strict mode re-raises inside; degrade mode substitutes
-                # the last-known-good heading with staleness metadata.
-                stale = self.supervisor.stale_fallback(fault)
-                self.supervisor.observe(stale)
-                if self.observer.recorder is not None:
-                    self.observer.recorder.on_fallback(
-                        path,
-                        {"x": detector_x, "y": detector_y},
-                        count_window,
-                        stale,
-                    )
-                if self.observer.metrics is not None:
-                    _record_measurement(self.observer.metrics, stale, path)
-                return stale
+                return self._stale_fallback(
+                    fault, path, {"x": detector_x, "y": detector_y}, count_window
+                )
         measurement = HeadingMeasurement(
             heading_deg=result.heading_deg,
             x_count=result.x_count,
@@ -382,6 +504,45 @@ class IntegratedCompass:
             self.observer.recorder.on_measurement(
                 path, detector_x, detector_y, count_window, result, measurement
             )
+        self._record_served(measurement, path, x_ticks, y_ticks)
+        return measurement
+
+    def _field_estimate(
+        self, x_count: int, x_ticks: int, y_count: int, y_ticks: int
+    ) -> float:
+        """|H| [A/m] from the counter pair.
+
+        The counter pair also encodes the field *magnitude*:
+        |count| = ticks · |H| / Ha.  The arctangent discards it, but it
+        is free diagnostic information (see repro.core.anomaly).  Each
+        count is normalised by its *own* channel's tick total — the
+        windows may legitimately differ.
+        """
+        amplitude = self.config.front_end.excitation.current_amplitude
+        h_amp = self.config.sensor.excitation_coil_constant * amplitude
+        return math.hypot(x_count * h_amp / x_ticks, y_count * h_amp / y_ticks)
+
+    def _stale_fallback(
+        self,
+        fault: FaultError,
+        path: str,
+        detectors: Optional[Dict[str, DetectorOutput]],
+        count_window: Tuple[float, float],
+    ) -> HeadingMeasurement:
+        """After a failed health check: strict mode re-raises inside;
+        degrade mode substitutes the last-known-good heading with
+        staleness metadata."""
+        stale = self.supervisor.stale_fallback(fault)
+        self.supervisor.observe(stale)
+        if self.observer.recorder is not None:
+            self.observer.recorder.on_fallback(path, detectors, count_window, stale)
+        if self.observer.metrics is not None:
+            _record_measurement(self.observer.metrics, stale, path)
+        return stale
+
+    def _record_served(
+        self, measurement: HeadingMeasurement, path: str, x_ticks: int, y_ticks: int
+    ) -> None:
         metrics = self.observer.metrics
         if metrics is not None:
             _record_measurement(metrics, measurement, path)
@@ -392,7 +553,6 @@ class IntegratedCompass:
             )
             ticks.inc(x_ticks, path=path, channel="x")
             ticks.inc(y_ticks, path=path, channel="y")
-        return measurement
 
     def measure_heading(
         self,

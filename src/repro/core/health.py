@@ -37,7 +37,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
 from ..analog.pulse_detector import DetectorOutput
 from ..digital.atan_rom import build_rom
@@ -212,6 +212,19 @@ def _edges_in_window(
     return sets, resets
 
 
+class ChannelEvidence(NamedTuple):
+    """What the supervisor reads of one channel's measurement."""
+
+    #: The up-down count and the clock ticks of its window.
+    count: int
+    total_ticks: int
+    #: Detector duty cycle over the counting window (:func:`_duty_in_window`).
+    duty: float
+    #: Set and reset events strictly inside the window (:func:`_edges_in_window`).
+    sets: int
+    resets: int
+
+
 class HealthSupervisor:
     """Per-measurement plausibility checks, watchdog and degradation.
 
@@ -327,22 +340,49 @@ class HealthSupervisor:
         :class:`FaultError` on a hard violation (the caller decides
         whether to degrade further).
         """
+        evidence = [
+            ChannelEvidence(
+                count_result.count,
+                count_result.total_ticks,
+                _duty_in_window(detector, count_window),
+                *_edges_in_window(detector, count_window),
+            )
+            for count_result, detector in (
+                (result.x_result, detector_x),
+                (result.y_result, detector_y),
+            )
+        ]
+        return self.judge(*evidence, count_window, field_estimate_a_per_m)
+
+    def judge(
+        self,
+        evidence_x: ChannelEvidence,
+        evidence_y: ChannelEvidence,
+        count_window: Tuple[float, float],
+        field_estimate_a_per_m: float,
+    ) -> HealthReport:
+        """The checks of :meth:`review` on evidence already extracted.
+
+        The columnar back-end computes the evidence of many rows as
+        arrays and asks for each row's verdict here, in row order.
+        """
         cfg = self.config
         counter = self._compass.back_end.counter
         t0, t1 = count_window
         flags: List[str] = []
+        channels = (("x", evidence_x), ("y", evidence_y))
 
         # 1. tick-count window: the counter's reported window length must
         #    match the schedule.
         expected_ticks = (t1 - t0) * counter.config.clock_hz
-        for channel, count_result in (("x", result.x_result), ("y", result.y_result)):
-            if abs(count_result.total_ticks - expected_ticks) > (
+        for channel, evidence in channels:
+            if abs(evidence.total_ticks - expected_ticks) > (
                 cfg.tick_window_tolerance + 1.0
             ):
                 self._count_check("tick-window", "fault")
                 raise FaultError(
                     f"health check: channel {channel} counted "
-                    f"{count_result.total_ticks} ticks where the schedule "
+                    f"{evidence.total_ticks} ticks where the schedule "
                     f"promised {expected_ticks:.0f} ± "
                     f"{cfg.tick_window_tolerance}"
                 )
@@ -350,19 +390,15 @@ class HealthSupervisor:
 
         # 2. count/duty cross-consistency: the digital count must agree
         #    with the analogue duty cycle up to clock quantisation.
-        for channel, count_result, detector in (
-            ("x", result.x_result, detector_x),
-            ("y", result.y_result, detector_y),
-        ):
-            duty = _duty_in_window(detector, count_window)
-            expected_count = count_result.total_ticks * (2.0 * duty - 1.0)
-            n_edges = sum(1 for e in detector.edges if t0 < e.time < t1)
+        for channel, evidence in channels:
+            expected_count = evidence.total_ticks * (2.0 * evidence.duty - 1.0)
+            n_edges = evidence.sets + evidence.resets
             tolerance = (n_edges + 2) + cfg.duty_margin_ticks
-            if abs(count_result.count - expected_count) > tolerance:
+            if abs(evidence.count - expected_count) > tolerance:
                 self._count_check("count-duty", "fault")
                 raise FaultError(
                     f"health check: channel {channel} count "
-                    f"{count_result.count} disagrees with the detector duty "
+                    f"{evidence.count} disagrees with the detector duty "
                     f"cycle (expected {expected_count:.0f} ± {tolerance}); "
                     "counter datapath fault suspected"
                 )
@@ -370,8 +406,8 @@ class HealthSupervisor:
 
         # 3. pulse activity: one set and one reset per excitation period.
         expected_events = self._compass.config.schedule.count_periods
-        for channel, detector in (("x", detector_x), ("y", detector_y)):
-            sets, resets = _edges_in_window(detector, count_window)
+        for channel, evidence in channels:
+            sets, resets = evidence.sets, evidence.resets
             if (
                 abs(sets - expected_events) > cfg.edge_tolerance
                 or abs(resets - expected_events) > cfg.edge_tolerance

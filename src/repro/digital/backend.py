@@ -9,10 +9,12 @@ the arctangent, and hands the result to the display driver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple, Union
+
+import numpy as np
 
 from ..analog.mux import MeasurementSchedule
-from ..analog.pulse_detector import DetectorOutput
+from ..analog.pulse_detector import DetectorOutput, EdgeMatrix
 from ..errors import ProtocolError
 from ..observe import DISABLED, Observer
 from ..observe.trace import (
@@ -22,9 +24,11 @@ from ..observe.trace import (
     STAGE_COUNTER,
 )
 from ..units import CORDIC_ITERATIONS, EXCITATION_FREQUENCY_HZ
+from . import columnar
 from .control import CompassController
 from .cordic import CordicArctan, CordicStep
 from .counter import CounterConfig, CountResult, UpDownCounter
+from .fixed_point import from_fixed, signed_max, signed_min
 from .display import DisplayDriver, DisplayFrame
 from .watch import WatchTimekeeper
 
@@ -42,6 +46,45 @@ class BackEndResult:
     #: Per-iteration CORDIC state; populated only when a tracer or
     #: replay recorder asked the datapath to record its steps.
     cordic_steps: Tuple[CordicStep, ...] = ()
+
+
+@dataclass(frozen=True)
+class BackEndColumns:
+    """:meth:`DigitalBackEnd.process_columns` on the rows of one call.
+
+    Python scalars per row.  ``served[i]`` is false where
+    :meth:`DigitalBackEnd.process_measurement` would raise (counter or
+    CORDIC register overflow, a count pair below the trust threshold)
+    or where the kernels do not apply (unsorted edges); those rows go
+    through the per-row datapath instead.
+    """
+
+    x_count: List[int]
+    y_count: List[int]
+    x_high: List[int]
+    y_high: List[int]
+    x_overflowed: List[bool]
+    y_overflowed: List[bool]
+    total_ticks: int
+    heading_deg: List[float]
+    cordic_cycles: int
+    served: List[bool]
+
+    def result(self, row: int) -> BackEndResult:
+        """Row ``row`` as the record :meth:`process_measurement` returns."""
+        total = self.total_ticks
+        return BackEndResult(
+            x_count=self.x_count[row],
+            y_count=self.y_count[row],
+            heading_deg=self.heading_deg[row],
+            cordic_cycles=self.cordic_cycles,
+            x_result=CountResult(
+                self.x_count[row], total, self.x_high[row], self.x_overflowed[row]
+            ),
+            y_result=CountResult(
+                self.y_count[row], total, self.y_high[row], self.y_overflowed[row]
+            ),
+        )
 
 
 class DigitalBackEnd:
@@ -81,7 +124,9 @@ class DigitalBackEnd:
         self.display = DisplayDriver()
         self.watch = WatchTimekeeper(crystal_hz=counter_config.clock_hz)
         self.schedule = schedule
-        self._last_result: Optional[BackEndResult] = None
+        # A BackEndResult, or (columns, row) for a row of process_columns,
+        # built on first read.
+        self._last_result: Union[None, BackEndResult, Tuple[BackEndColumns, int]] = None
         #: Set by the owning compass; DISABLED keeps this path span-free.
         self.observer: Observer = DISABLED
 
@@ -123,8 +168,8 @@ class DigitalBackEnd:
                     abs(-y_result.count), abs(x_result.count),
                     record_steps=record_steps,
                 )
-                heading = self.cordic.heading_degrees(
-                    x_result.count, y_result.count
+                heading = self.cordic.fold_heading(
+                    cordic_result.angle_deg, x_result.count, y_result.count
                 )
                 cordic_span.set(
                     iterations=cordic_result.cycles,
@@ -158,13 +203,106 @@ class DigitalBackEnd:
         self._last_result = result
         return result
 
+    def columnar_ready(self) -> bool:
+        """Whether :meth:`process_columns` computes what
+        :meth:`process_measurement` would, row for row.
+
+        It does for the stock counter and CORDIC with no instance-patched
+        datapath method (digital fault injectors arm that way, e.g.
+        ``digital.counter_stuck_bit``), while the registers fit int64.  A
+        corrupted ROM word is read live, so it needs no fallback.
+        """
+        counter, cordic = self.counter, self.cordic
+        return (
+            type(counter) is UpDownCounter
+            and type(cordic) is CordicArctan
+            and "process_measurement" not in vars(self)
+            and "count_window" not in vars(counter)
+            and "arctan_first_quadrant" not in vars(cordic)
+            # int64 headroom: a count shifted into the registers, and
+            # x_reg after every rotation adds at most the starting y_reg.
+            and counter.config.width_bits + cordic.input_scale_bits <= 62
+            and (cordic.iterations + 1) << (cordic.register_width - 1) < 1 << 63
+        )
+
+    def process_columns(
+        self,
+        edges_x: EdgeMatrix,
+        edges_y: EdgeMatrix,
+        window: Tuple[float, float],
+    ) -> BackEndColumns:
+        """:meth:`process_measurement` on every row of a call at once.
+
+        Both channels are counted over the same ``window``, the count
+        pairs go through the CORDIC as int64 arrays
+        (:mod:`repro.digital.columnar`), and the quadrant fold runs per
+        row.  The per-row side effects — the controller's walk and
+        history, the last result — are :meth:`complete_row`'s, in row
+        order.  Requires :meth:`columnar_ready` and a non-empty window.
+        """
+        config = self.counter.config
+        t_start, t_end = window
+        total = self.counter._ticks_in(t_start, t_end, t_start)
+        low, high = signed_min(config.width_bits), signed_max(config.width_bits)
+        served = edges_x.sorted_rows() & edges_y.sorted_rows()
+        counts, highs, overflows = [], [], []
+        for edges in (edges_x, edges_y):
+            high_ticks = columnar.high_ticks(edges, window, config.tick)
+            count = 2 * high_ticks - total
+            overflowed = (count < low) | (count > high)
+            if config.strict_overflow:
+                served &= ~overflowed
+            else:
+                span = 1 << config.width_bits
+                wrapped = count & (span - 1)
+                count = np.where(wrapped > high, wrapped - span, wrapped)
+            counts.append(count)
+            highs.append(high_ticks.tolist())
+            overflows.append(overflowed.tolist())
+        x_count, y_count = counts
+        served &= np.maximum(np.abs(x_count), np.abs(y_count)) >= self.MINIMUM_COUNT
+        angle_fixed, refused = columnar.cordic_angles(
+            self.cordic, np.abs(y_count), np.abs(x_count)
+        )
+        served &= ~refused
+        frac_bits = self.cordic.angle_frac_bits
+        x_list, y_list = x_count.tolist(), y_count.tolist()
+        fold = CordicArctan.fold_heading
+        return BackEndColumns(
+            x_count=x_list,
+            y_count=y_list,
+            x_high=highs[0],
+            y_high=highs[1],
+            x_overflowed=overflows[0],
+            y_overflowed=overflows[1],
+            total_ticks=total,
+            heading_deg=[
+                fold(from_fixed(angle, frac_bits), x, y)
+                for angle, x, y in zip(angle_fixed.tolist(), x_list, y_list)
+            ],
+            cordic_cycles=self.cordic.iterations,
+            served=served.tolist(),
+        )
+
+    def complete_row(self, columns: BackEndColumns, row: int) -> None:
+        """The per-row side effects of :meth:`process_measurement` for
+        row ``row`` of :meth:`process_columns`: one controller walk, the
+        counter powered down, and the row as the last result."""
+        self.controller.run_measurement()
+        self.counter.disable()
+        self._last_result = (columns, row)
+
     @property
     def last_result(self) -> Optional[BackEndResult]:
+        if isinstance(self._last_result, tuple):
+            columns, row = self._last_result
+            self._last_result = columns.result(row)
         return self._last_result
 
     def render_display(self) -> DisplayFrame:
         """Render the LCD with the latest heading (or the time)."""
-        heading = self._last_result.heading_deg if self._last_result else 0.0
+        last = self.last_result
+        heading = last.heading_deg if last else 0.0
         return self.display.render(
             heading_deg=heading,
             hours=self.watch.time.hours,

@@ -98,6 +98,26 @@ class CompassController:
         self.clock_hz = clock_hz
         self.state = ControllerState.IDLE
         self.history: Deque[StateDwell] = deque(maxlen=self.HISTORY_LIMIT)
+        # The timing is fixed at construction: the state walk, the dwell of
+        # each state and one measurement's duration, summed in walk order.
+        settle = int(schedule.settle_periods > 0)
+        self._sequence: Tuple[ControllerState, ...] = (
+            (ControllerState.SETTLE_X,) * settle
+            + (ControllerState.COUNT_X,)
+            + (ControllerState.SETTLE_Y,) * settle
+            + (ControllerState.COUNT_Y, ControllerState.COMPUTE)
+        )
+        self._durations: Dict[ControllerState, float] = {
+            ControllerState.SETTLE_X: self._periods_seconds(schedule.settle_periods),
+            ControllerState.COUNT_X: self._periods_seconds(schedule.count_periods),
+            ControllerState.SETTLE_Y: self._periods_seconds(schedule.settle_periods),
+            ControllerState.COUNT_Y: self._periods_seconds(schedule.count_periods),
+            ControllerState.COMPUTE: cordic_iterations / clock_hz,
+        }
+        self._measurement_duration = sum(
+            self._durations[state] for state in self._sequence
+        )
+        self._walk = tuple((state, self._durations[state]) for state in self._sequence)
 
     # -- timing ---------------------------------------------------------------
 
@@ -106,30 +126,14 @@ class CompassController:
 
     def state_duration(self, state: ControllerState) -> float:
         """Dwell time of each state in one measurement [s]."""
-        s = self.schedule
-        durations = {
-            ControllerState.SETTLE_X: self._periods_seconds(s.settle_periods),
-            ControllerState.COUNT_X: self._periods_seconds(s.count_periods),
-            ControllerState.SETTLE_Y: self._periods_seconds(s.settle_periods),
-            ControllerState.COUNT_Y: self._periods_seconds(s.count_periods),
-            ControllerState.COMPUTE: self.cordic_iterations / self.clock_hz,
-        }
-        if state not in durations:
+        if state not in self._durations:
             raise ProtocolError(f"state {state} has no fixed duration")
-        return durations[state]
+        return self._durations[state]
 
     @property
     def measurement_sequence(self) -> Tuple[ControllerState, ...]:
         """The state walk of one heading measurement (IDLE excluded)."""
-        states = []
-        if self.schedule.settle_periods > 0:
-            states.append(ControllerState.SETTLE_X)
-        states.append(ControllerState.COUNT_X)
-        if self.schedule.settle_periods > 0:
-            states.append(ControllerState.SETTLE_Y)
-        states.append(ControllerState.COUNT_Y)
-        states.append(ControllerState.COMPUTE)
-        return tuple(states)
+        return self._sequence
 
     # -- execution ----------------------------------------------------------------
 
@@ -147,19 +151,14 @@ class CompassController:
             raise ProtocolError(
                 f"measurement started while controller in {self.state}"
             )
-        dwells: List[StateDwell] = []
-        for state in self.measurement_sequence:
-            self.state = state
-            dwells.append(StateDwell(state, self.state_duration(state)))
+        dwells = [StateDwell(state, duration) for state, duration in self._walk]
         self.state = ControllerState.IDLE
         self.history.extend(dwells)
         return dwells
 
     def measurement_duration(self) -> float:
         """Active time of one measurement [s]."""
-        return sum(
-            self.state_duration(state) for state in self.measurement_sequence
-        )
+        return self._measurement_duration
 
     def block_duty_cycles(self, repetition_period: float) -> Dict[str, float]:
         """Fraction of time each gated block is enabled.

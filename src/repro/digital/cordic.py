@@ -165,22 +165,34 @@ class CordicArctan:
 
     # -- full-circle wrappers -------------------------------------------------
 
-    def arctan_degrees(self, y: int, x: int) -> float:
-        """Four-quadrant ``atan2(y, x)`` in compass range [0, 360) degrees.
+    @staticmethod
+    def fold_quadrant(core_deg: float, y: int, x: int) -> float:
+        """Map a first-quadrant core angle for ``(|y|, |x|)`` to the
+        four-quadrant ``atan2(y, x)`` in [0, 360) degrees.
 
         The quadrant folder is two sign checks and a subtraction — the
         cheap combinational logic wrapped around the Figure 8 core.
         """
-        core = self.arctan_first_quadrant(abs(y), abs(x)).angle_deg
         if x >= 0 and y >= 0:
-            angle = core
+            angle = core_deg
         elif x < 0 <= y:
-            angle = 180.0 - core
+            angle = 180.0 - core_deg
         elif x < 0 and y < 0:
-            angle = 180.0 + core
+            angle = 180.0 + core_deg
         else:
-            angle = 360.0 - core
+            angle = 360.0 - core_deg
         return angle % 360.0
+
+    @classmethod
+    def fold_heading(cls, core_deg: float, x_count: int, y_count: int) -> float:
+        """:meth:`heading_degrees` for a core angle already computed on
+        ``(|y_count|, |x_count|)``."""
+        return cls.fold_quadrant(core_deg, -y_count, x_count)
+
+    def arctan_degrees(self, y: int, x: int) -> float:
+        """Four-quadrant ``atan2(y, x)`` in compass range [0, 360) degrees."""
+        core = self.arctan_first_quadrant(abs(y), abs(x)).angle_deg
+        return self.fold_quadrant(core, y, x)
 
     def heading_degrees(self, x_count: int, y_count: int) -> float:
         """Compass heading from the two up-down counter values [degrees].

@@ -128,3 +128,59 @@ class TestDutyCycles:
         controller = CompassController()
         with pytest.raises(ProtocolError, match="shorter than"):
             controller.block_duty_cycles(1e-4)
+
+
+def _dict_state_duration(controller, state):
+    """The dwell of ``state`` as the controller once rebuilt it per call."""
+    s = controller.schedule
+    durations = {
+        ControllerState.SETTLE_X: s.settle_periods / controller.excitation_frequency_hz,
+        ControllerState.COUNT_X: s.count_periods / controller.excitation_frequency_hz,
+        ControllerState.SETTLE_Y: s.settle_periods / controller.excitation_frequency_hz,
+        ControllerState.COUNT_Y: s.count_periods / controller.excitation_frequency_hz,
+        ControllerState.COMPUTE: controller.cordic_iterations / controller.clock_hz,
+    }
+    return durations[state]
+
+
+class TestDurationsComputedOnce:
+    @pytest.mark.parametrize("settle,count", [(0, 8), (1, 8), (2, 16), (3, 5)])
+    @pytest.mark.parametrize("frequency_hz", [8000.0, 7919.37, 8192.0 * 1.013])
+    @pytest.mark.parametrize(
+        "iterations,clock_hz", [(8, 4194304.0), (12, 4194304.0), (5, 3.1e6)]
+    )
+    def test_match_the_per_call_expression(
+        self, settle, count, frequency_hz, iterations, clock_hz
+    ):
+        controller = CompassController(
+            MeasurementSchedule(settle_periods=settle, count_periods=count),
+            excitation_frequency_hz=frequency_hz,
+            cordic_iterations=iterations,
+            clock_hz=clock_hz,
+        )
+        settles = (ControllerState.SETTLE_X, ControllerState.SETTLE_Y)
+        sequence = [
+            state
+            for state in (
+                ControllerState.SETTLE_X,
+                ControllerState.COUNT_X,
+                ControllerState.SETTLE_Y,
+                ControllerState.COUNT_Y,
+                ControllerState.COMPUTE,
+            )
+            if settle > 0 or state not in settles
+        ]
+        assert list(controller.measurement_sequence) == sequence
+        for state in ControllerState:
+            if state is ControllerState.IDLE:
+                continue
+            expected = _dict_state_duration(controller, state)
+            assert controller.state_duration(state) == expected
+        # Same summation order, so bit-identical, not merely close.
+        assert controller.measurement_duration() == sum(
+            _dict_state_duration(controller, state) for state in sequence
+        )
+        dwells = controller.run_measurement()
+        assert [(d.state, d.duration) for d in dwells] == [
+            (state, _dict_state_duration(controller, state)) for state in sequence
+        ]

@@ -1,10 +1,13 @@
 """Property-based tests for the CORDIC datapath."""
 
 import math
+import re
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.digital.cordic import CordicArctan, greedy_arctan_float
+from repro.errors import ProtocolError
 
 CORDIC = CordicArctan()
 
@@ -90,3 +93,38 @@ class TestFloatEquivalence:
         integer = CORDIC.arctan_first_quadrant(y, x).angle_deg
         floating = greedy_arctan_float(float(y), float(x), 8)
         assert abs(integer - floating) < 0.75
+
+
+def _two_pass_heading(cordic, x_count, y_count):
+    """The heading written out in one piece: the core on (|−y|, |x|),
+    then the quadrant fold inline."""
+    y, x = -y_count, x_count
+    core = cordic.arctan_first_quadrant(abs(y), abs(x)).angle_deg
+    if x >= 0 and y >= 0:
+        angle = core
+    elif x < 0 <= y:
+        angle = 180.0 - core
+    elif x < 0 and y < 0:
+        angle = 180.0 + core
+    else:
+        angle = 360.0 - core
+    return angle % 360.0
+
+
+class TestFoldedHeading:
+    @given(
+        x=st.integers(min_value=-32768, max_value=32767),
+        y=st.integers(min_value=-32768, max_value=32767),
+    )
+    @settings(max_examples=300)
+    def test_heading_degrees_unchanged_over_16_bit_pairs(self, x, y):
+        # Large pairs overflow the 24-bit registers; both forms raise.
+        try:
+            expected = _two_pass_heading(CORDIC, x, y)
+        except ProtocolError as error:
+            with pytest.raises(ProtocolError, match=re.escape(str(error))):
+                CORDIC.heading_degrees(x, y)
+            return
+        assert CORDIC.heading_degrees(x, y) == expected
+        core = CORDIC.arctan_first_quadrant(abs(y), abs(x)).angle_deg
+        assert CordicArctan.fold_heading(core, x, y) == expected

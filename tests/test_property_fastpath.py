@@ -8,7 +8,10 @@ closed form is used and agrees within the sub-tick timing tolerance of
 stepped engine and the results are bit-identical by construction.
 """
 
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analog import fastpath
@@ -91,3 +94,96 @@ class TestSolverEdgeProperty:
             abs(a.time - b.time) for a, b in zip(fast.edges, stepped.edges)
         )
         assert worst < self.GRID.dt
+
+
+def _mutations():
+    """One edit per value the solve's constants are memoised on."""
+
+    def osc(fe, sensor, grid):
+        p = fe.excitation.oscillator.params
+        fe.excitation.oscillator.params = dataclasses.replace(
+            p, amplitude=0.93 * p.amplitude
+        )
+
+    def converter(fe, sensor, grid):
+        c = fe.excitation.converters["x"]
+        gm = c.params.transconductance
+        c.params = dataclasses.replace(c.params, transconductance=0.95 * gm)
+
+    def sensor_params(fe, sensor, grid):
+        sensor.params = dataclasses.replace(
+            sensor.params, pickup_turns=int(sensor.params.pickup_turns * 1.2)
+        )
+
+    def core_params(fe, sensor, grid):
+        p = sensor.core.params
+        sensor.core.params = dataclasses.replace(
+            p, anisotropy_field=1.05 * p.anisotropy_field
+        )
+
+    def gain(fe, sensor, grid):
+        fe.amplifier.gain *= 1.1
+
+    def bandwidth(fe, sensor, grid):
+        fe.amplifier.bandwidth_hz = 0.8 * fe.amplifier.bandwidth_hz
+
+    def comparator(which):
+        def edit(fe, sensor, grid):
+            c = getattr(fe.detector, which)
+            c.params = dataclasses.replace(c.params, delay=c.params.delay + 7e-9)
+
+        return edit
+
+    def grid_edit(fe, sensor, grid):
+        return TimeGrid(
+            n_periods=grid.n_periods, samples_per_period=2048,
+            frequency_hz=grid.frequency_hz,
+        )
+
+    def channel(fe, sensor, grid):
+        # The y converter differs from x, so solving y must not reuse x.
+        c = fe.excitation.converters["y"]
+        gm = c.params.transconductance
+        c.params = dataclasses.replace(c.params, transconductance=0.9 * gm)
+        return grid, "y"
+
+    return {
+        "oscillator": osc,
+        "converter": converter,
+        "sensor": sensor_params,
+        "core": core_params,
+        "amplifier-gain": gain,
+        "amplifier-bandwidth": bandwidth,
+        "comparator-positive": comparator("comparator_positive"),
+        "comparator-negative": comparator("comparator_negative"),
+        "grid": grid_edit,
+        "channel": channel,
+    }
+
+
+class TestPlanMemo:
+    FIELDS = np.array([-20.0, 5.0, 31.0])
+
+    @staticmethod
+    def times(solved):
+        return None if solved is None else solved.times.tolist()
+
+    @pytest.mark.parametrize("name", sorted(_mutations()))
+    def test_every_keyed_value_changes_the_solve(self, name):
+        fe = AnalogFrontEnd(FrontEndConfig())
+        sensor = FluxgateSensor(IDEAL_TARGET)
+        osc = fe.excitation.oscillator.params
+        grid = TimeGrid(n_periods=9, frequency_hz=osc.frequency_hz)
+        solve = fastpath.solve_channel_batch
+        before = self.times(solve(fe, sensor, "x", self.FIELDS, grid))
+        edited = _mutations()[name](fe, sensor, grid)
+        channel = "x"
+        if isinstance(edited, tuple):
+            grid, channel = edited
+        elif edited is not None:
+            grid = edited
+        after = self.times(solve(fe, sensor, channel, self.FIELDS, grid))
+        fastpath._plan.cache_clear()
+        fresh = self.times(solve(fe, sensor, channel, self.FIELDS, grid))
+        assert after == fresh
+        assert after != before
